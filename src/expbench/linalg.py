@@ -6,9 +6,9 @@ State vectors are plain 1D numpy arrays.  The functions ``dot``, ``norm2``,
 active :class:`~expbench.counting.OpCounter`; all algorithms in this package
 route state-vector-sized arithmetic through them.
 
-The dense matrix exponential / phi functions serve two purposes: evaluating
-small Hessenberg matrices inside the Krylov method and acting as an
-independent oracle for the iterative evaluators in the tests.
+The dense matrix exponential evaluates the small Hessenberg and divided-
+difference matrices inside the evaluators; the dense phi functions act as
+an independent oracle for the iterative evaluators in the tests.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Action of exponential and phi functions on vectors.
 
 Two evaluators are provided: a Krylov subspace method (Arnoldi with modified
-Gram-Schmidt and one full reorthogonalization pass, phi of the small
-Hessenberg matrix evaluated densely) and Leja interpolation (real Leja
-points on [-2, 2], scaled and shifted to the Gershgorin interval of the
-operator, Newton form with divided differences computed via the matrix
-method on a bidiagonal node matrix).
+Gram-Schmidt and one full reorthogonalization pass; the result coefficients
+and the residual estimate come from one expm of the column-augmented
+Hessenberg matrix) and Leja interpolation (real Leja points on [-2, 2],
+scaled and shifted to the Gershgorin interval of the operator, Newton form
+with divided differences computed via the matrix method on a bidiagonal
+node matrix, phi_p through p leading zero nodes, for a leading block of
+points that doubles only when the evaluation runs past it).
 
 Both evaluators fall back to uniform substepping when a single evaluation
 does not converge within its budget: the substep count doubles on each
@@ -31,7 +33,6 @@ from .linalg import (
     SpectralBounds,
     copy_vector,
     dense_expm,
-    dense_phi,
     dot,
     lincomb,
     norm2,
@@ -150,13 +151,25 @@ class _CountingApply:
         return self._apply(x)
 
 
+def hessenberg_phi_e1(Hm, q: int) -> np.ndarray:
+    """Columns exp(Hm) e_1, phi_1(Hm) e_1, ..., phi_q(Hm) e_1 (q >= 1) from one
+    expm of [[Hm, e_1, 0], [0, 0, I_{q-1}], [0, 0, 0]] (Saad 1992; Sidje 1998):
+    column 0 of its top block is exp(Hm) e_1, column m+k-1 is phi_k(Hm) e_1."""
+    m = Hm.shape[0]
+    aug = np.zeros((m + q, m + q))
+    aug[:m, :m] = Hm
+    aug[0, m] = 1.0
+    aug[m : m + q - 1, m + 1 :] = np.eye(q - 1)
+    return dense_expm(aug)[:m, np.r_[0, m : m + q]]
+
+
 def krylov_phi_action(applyA, req: PhiActionRequest, m_max: int = DEFAULT_M_MAX) -> PhiActionResult:
     """y ~ phi_p(tau A) v by Arnoldi iteration.
 
     Terminates on the generalized residual estimate
-    err_m = beta * tau * h_{m+1,m} * |e_m^T phi_p(tau H_m) e_1| <= tol,
-    checked after every extension.  Falls back to substepped, chained
-    evaluation when the dimension cap is hit.
+    err_m = beta * tau * h_{m+1,m} * |e_m^T phi_q(tau H_m) e_1| <= tol with
+    q = max(p, 1), checked after every extension.  Falls back to substepped,
+    chained evaluation when the dimension cap is hit.
     """
     applyA = _CountingApply(applyA)
     vnorm = float(np.linalg.norm(req.v))
@@ -164,20 +177,17 @@ def krylov_phi_action(applyA, req: PhiActionRequest, m_max: int = DEFAULT_M_MAX)
         return PhiActionResult(np.zeros_like(np.asarray(req.v, dtype=float)), 0, 1, True, 0.0)
     state = arnoldi_start(req.v, m_max=m_max)
     beta = state.beta
-    p_est = max(req.p, 1)
+    q = max(req.p, 1)
     while True:
         arnoldi_extend(applyA, state)
         m = state.m
-        Hm = req.tau * state.H[:m, :m]
-        phiH = dense_phi(Hm, req.p)
+        cols = hessenberg_phi_e1(req.tau * state.H[:m, :m], q)
         if state.invariant:
             err = 0.0
         else:
-            est_col = phiH if req.p >= 1 else dense_phi(Hm, p_est)
-            err = beta * req.tau * abs(state.H[m, m - 1]) * abs(est_col[m - 1, 0])
+            err = beta * req.tau * abs(state.H[m, m - 1]) * abs(cols[m - 1, q])
         if err <= req.tol or state.invariant:
-            coeffs = beta * phiH[:m, 0]
-            y = lincomb(list(coeffs), state.V[:m])
+            y = lincomb(list(beta * cols[:, req.p]), state.V[:m])
             return PhiActionResult(y, applyA.calls, 1, True, err)
         if state.m >= m_max:
             break
@@ -241,33 +251,39 @@ def divided_differences_exp(points, scaling: float, p: int = 0) -> np.ndarray:
     """Newton divided differences of z -> phi_p(scaling * z) on ``points``.
 
     Computed via the matrix method: the divided differences of f on nodes
-    x_0..x_{K-1} are the first column of f(Z), Z bidiagonal with the nodes
-    on the diagonal and ones on the subdiagonal.  This avoids the
-    catastrophic cancellation of the naive recurrence.
+    z_0..z_{N-1} are the first column of f(Z), Z lower bidiagonal with the
+    nodes on the diagonal and ones on the subdiagonal.  This avoids the
+    catastrophic cancellation of the naive recurrence.  phi_p uses
+    phi_p[y_0..y_j] = exp[0, ..., 0, y_0..y_j] with p zero nodes in front
+    of y = scaling * points; the subdiagonal is 1 on its first p rows and
+    ``scaling`` after them, which supplies the factor scaling^j.  Z is lower
+    triangular, so a prefix of ``points`` gives the same prefix of the result.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size < 1:
         raise ValueError("points must be a non-empty 1D sequence")
     if np.unique(pts).size != pts.size:
         raise ValueError("points must be pairwise distinct")
-    K = pts.size
-    Z = np.diag(scaling * pts)
-    idx = np.arange(K - 1)
-    Z[idx + 1, idx] = scaling
-    return dense_phi(Z, p)[:, 0].copy()
+    N = pts.size + p
+    Z = np.diag(np.concatenate([np.zeros(p), scaling * pts]))
+    idx = np.arange(N - 1)
+    Z[idx + 1, idx] = np.where(idx < p, 1.0, scaling)
+    return dense_expm(Z)[p:, 0].copy()
 
 
 _DD_CACHE: dict = {}
 _DD_CACHE_LIMIT = 64
+_DD_BLOCK = 32  # leading Leja points whose coefficients are computed first
 
 
 def _cached_shifted_dd(xi: tuple, c: float, gamma: float, t: float, p: int) -> np.ndarray:
     """Divided differences of theta -> phi_p(t (c + gamma theta)) on xi.
 
     These are the Newton coefficients matching the scaled recurrence
-    r_{j+1} = (A - (c + gamma xi_j) I) r_j / gamma.
+    r_{j+1} = (A - (c + gamma xi_j) I) r_j / gamma.  The key holds the
+    nodes themselves, so an entry depends on nothing but its key.
     """
-    key = (p, t, c, gamma, len(xi))
+    key = (p, t, c, gamma, xi)
     hit = _DD_CACHE.get(key)
     if hit is None:
         if len(_DD_CACHE) >= _DD_CACHE_LIMIT:
@@ -304,16 +320,21 @@ def _leja_newton(applyA, x, t, tol_abs, p, c, gamma, points):
 
     The magnitude of the Newton terms oscillates, so a single small term is
     not a safe stopping signal; termination requires two consecutive term
-    estimates below the tolerance.
+    estimates below the tolerance.  Coefficients are computed for the first
+    _DD_BLOCK points, and for twice as many each time j reaches their end.
     """
-    xi = np.asarray(points)
-    dd = _cached_shifted_dd(tuple(points), c, gamma, t, p)
+    xi = tuple(points)
+    block = min(_DD_BLOCK, len(xi))
+    dd = _cached_shifted_dd(xi[:block], c, gamma, t, p)
     r = copy_vector(x)
     y = scale(dd[0], r)
     guard = _DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(x)))
     est = math.inf
     prev_small = False
     for j in range(1, len(xi)):
+        if j == block:
+            block = min(2 * block, len(xi))
+            dd = _cached_shifted_dd(xi[:block], c, gamma, t, p)
         shift = c + gamma * xi[j - 1]
         r = lincomb([1.0 / gamma, -shift / gamma], [applyA(r), r])
         y = lincomb([1.0, dd[j]], [y, r])
@@ -335,8 +356,8 @@ def leja_phi_action(
 ) -> PhiActionResult:
     """y ~ phi_p(tau A) v by Newton interpolation on scaled Leja points.
 
-    Terminates when the L2 norm of the last added term drops below tol;
-    halves the substep (doubling the substep count, uniform
+    Terminates when the L2 norms of two consecutive Newton terms are below
+    tol; halves the substep (doubling the substep count, uniform
     over [0, tau]) and restarts on failure.
     """
     if req.bounds is None:
@@ -424,16 +445,13 @@ def _krylov_expv(applyA, x, t, tol_abs, m_max):
     while True:
         arnoldi_extend(applyA, state)
         m = state.m
-        Hm = t * state.H[:m, :m]
+        cols = hessenberg_phi_e1(t * state.H[:m, :m], 1)
         if state.invariant:
             err = 0.0
         else:
-            phi1 = dense_phi(Hm, 1)
-            err = beta * t * abs(state.H[m, m - 1]) * abs(phi1[m - 1, 0])
+            err = beta * t * abs(state.H[m, m - 1]) * abs(cols[m - 1, 1])
         if err <= tol_abs or state.invariant:
-            E = dense_expm(Hm)
-            coeffs = beta * E[:m, 0]
-            return lincomb(list(coeffs), state.V[:m]), err
+            return lincomb(list(beta * cols[:, 0]), state.V[:m]), err
         if state.m >= m_max:
             raise _NotConverged("Krylov dimension cap reached")
 

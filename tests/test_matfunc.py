@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from expbench import matfunc
 from expbench.counting import ADVDIFF_1D
 from expbench.linalg import (
     build_advdiff_operator,
@@ -15,8 +18,10 @@ from expbench.matfunc import (
     PhiActionRequest,
     arnoldi_extend,
     arnoldi_start,
+    default_leja_sequence,
     divided_differences_exp,
     generate_leja_points,
+    hessenberg_phi_e1,
     krylov_phi_action,
     leja_phi_action,
     load_leja_points,
@@ -192,6 +197,89 @@ class TestDividedDifferences:
         with pytest.raises(ValueError):
             divided_differences_exp([1.0, 1.0], 1.0)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("scaling", [0.5, 5.0, 20.0, 80.0])
+    def test_phi_p_matches_block_phi_formula(self, p, scaling):
+        # reference: first column of phi_p of the K x K bidiagonal node matrix
+        pts = np.asarray(default_leja_sequence().points[:64])
+        Z = np.diag(scaling * pts)
+        idx = np.arange(pts.size - 1)
+        Z[idx + 1, idx] = scaling
+        expected = dense_phi(Z, p)[:, 0]
+        dd = divided_differences_exp(pts, scaling, p)
+        assert np.max(np.abs(dd - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("scaling", [5.0, 80.0])
+    def test_phi_p_against_high_precision_recurrence(self, p, scaling):
+        mpmath = pytest.importorskip("mpmath")
+        pts = default_leja_sequence().points[:40]
+        with mpmath.workdps(300):
+            # p distinct nodes 1e-60 apart stand in for the confluent zeros
+            nodes = [mpmath.mpf(10) ** -60 * (i + 1) for i in range(p)]
+            nodes += [scaling * mpmath.mpf(x) for x in pts]
+            table = [mpmath.exp(z) for z in nodes]
+            dd_exp = [table[0]]
+            for j in range(1, len(nodes)):
+                table = [
+                    (table[i + 1] - table[i]) / (nodes[i + j] - nodes[i])
+                    for i in range(len(nodes) - j)
+                ]
+                dd_exp.append(table[0])
+            expected = np.array(
+                [float(dd_exp[p + j] * mpmath.mpf(scaling) ** j) for j in range(len(pts))]
+            )
+        dd = divided_differences_exp(pts, scaling, p)
+        assert np.max(np.abs(dd - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    @pytest.mark.parametrize("k", [1, 32, 64])
+    def test_leading_block_identity(self, p, k):
+        pts = np.asarray(default_leja_sequence().points)
+        full = divided_differences_exp(pts, 20.0, p)
+        block = divided_differences_exp(pts[:k], 20.0, p)
+        assert np.max(np.abs(block - full[:k])) <= 1e-14 * np.max(np.abs(full))
+
+
+@st.composite
+def hessenberg_matrices(draw):
+    """Random upper Hessenberg matrices: general ones with norm <= 10, and
+    dissipative ones (shifted into the left half-plane) with norm up to 300,
+    like tau * H_m of a stiff diffusion operator."""
+    m = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    dissipative = draw(st.booleans())
+    norm = draw(st.floats(0.1, 300.0 if dissipative else 10.0))
+    G = np.triu(np.random.default_rng(seed).standard_normal((m, m)), -1)
+    if dissipative:
+        G -= (np.max(np.sum(np.abs(G), axis=0)) + 1.0) * np.eye(m)
+    return G * (norm / np.linalg.norm(G, 1))
+
+
+class TestHessenbergPhi:
+    @settings(max_examples=60, deadline=None)
+    @given(H=hessenberg_matrices(), q=st.integers(1, 3))
+    def test_columns_match_dense_phi(self, H, q):
+        cols = hessenberg_phi_e1(H, q)
+        assert cols.shape == (H.shape[0], q + 1)
+        for k in range(q + 1):
+            expected = dense_phi(H, k)[:, 0]
+            assert np.max(np.abs(cols[:, k] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_stiff_diffusion_hessenberg(self):
+        # Hessenberg matrix of a stiff operator: ||tau H|| ~ 300
+        pb = advdiff(60, kappa=1.0)
+        A = pb.operator.to_dense()
+        state = arnoldi_start(np.ones(60))
+        for _ in range(30):
+            arnoldi_extend(lambda w: A @ w, state)
+        H = state.H[:30, :30]
+        H = H * (300.0 / np.linalg.norm(H, 1))
+        cols = hessenberg_phi_e1(H, 3)
+        for k in range(4):
+            expected = dense_phi(H, k)[:, 0]
+            assert np.max(np.abs(cols[:, k] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
 
 class TestLejaPhiAction:
     def test_requires_bounds(self):
@@ -235,6 +323,29 @@ class TestLejaPhiAction:
         )
         assert res.converged
         assert res.final_estimate <= tol
+
+    def test_result_does_not_depend_on_cache_history(self):
+        # tol=1e-4 runs past the first block of 32 points, tol=1e-12 past
+        # the second: the short evaluation must read the same coefficients
+        # whether it fills the cache itself or finds the longer one's entries
+        pb = advdiff(50, kappa=1.0)
+        v = np.random.default_rng(9).standard_normal(50)
+
+        def run(tol):
+            return leja_phi_action(
+                lambda w: pb.rhs(w),
+                PhiActionRequest(p=1, tau=0.02, v=v, tol=tol, bounds=pb.spectral_bounds()),
+            )
+
+        matfunc._DD_CACHE.clear()
+        cold = run(1e-4)
+        matfunc._DD_CACHE.clear()
+        longer = run(1e-12)
+        warm = run(1e-4)
+        assert cold.substeps == longer.substeps == 1
+        assert 32 < cold.iterations <= 64 < longer.iterations
+        assert warm.iterations == cold.iterations
+        assert np.array_equal(warm.y, cold.y)
 
     def test_iterations_match_matvec_count(self):
         pb = advdiff(30)
