@@ -106,12 +106,16 @@ def rk4_step(problem, u, tau: float) -> np.ndarray:
     )
 
 
-def _phi_action(problem, u, p, tau, v, tol, backend) -> PhiActionResult:
+def _linearize(problem, u, backend):
+    """Jacobian action at ``u`` and, for Leja, its spectral bounds."""
     applyJ = lambda w: problem.jac_action(u, w)
+    return applyJ, problem.spectral_bounds(u) if backend == "leja" else None
+
+
+def _phi_action(applyJ, bounds, p, tau, v, tol, backend) -> PhiActionResult:
+    req = PhiActionRequest(p=p, tau=tau, v=v, tol=tol, bounds=bounds)
     if backend == "krylov":
-        req = PhiActionRequest(p=p, tau=tau, v=v, tol=tol)
         return krylov_phi_action(applyJ, req)
-    req = PhiActionRequest(p=p, tau=tau, v=v, tol=tol, bounds=problem.spectral_bounds(u))
     return leja_phi_action(applyJ, req)
 
 
@@ -143,8 +147,9 @@ def exprb_euler_step(problem, u, tau: float, tol: float, backend: str, stats=Non
     """
     f = problem.rhs(u)
     tol_phi = _PHI_SAFETY * tol * _step_scale(u) / tau
+    applyJ, bounds = _linearize(problem, u, backend)
     res = _require_converged(
-        _phi_action(problem, u, 1, tau, f, tol_phi, backend), "exponential Euler step"
+        _phi_action(applyJ, bounds, 1, tau, f, tol_phi, backend), "exponential Euler step"
     )
     if stats is not None:
         stats.append(res)
@@ -162,26 +167,20 @@ def exprb42_step(problem, u, tau: float, tol: float, backend: str, stats=None) -
     """
     f = problem.rhs(u)
     tol_abs = _PHI_SAFETY * tol * _step_scale(u)
+    applyJ, bounds = _linearize(problem, u, backend)
     stage = _require_converged(
-        _phi_action(problem, u, 1, 0.75 * tau, f, tol_abs / (0.75 * tau), backend),
+        _phi_action(applyJ, bounds, 1, 0.75 * tau, f, tol_abs / (0.75 * tau), backend),
         "exprb42 stage",
     )
     U2 = lincomb([1.0, 0.75 * tau], [u, stage.y])
     f2 = problem.rhs(U2)
     dU = lincomb([1.0, -1.0], [U2, u])
-    jdU = problem.jac_action(u, dU)
+    jdU = applyJ(dU)
     # g(U2) - g(u) with g(w) = F(w) - J u w
     gdiff = lincomb([1.0, -1.0, -1.0], [f2, f, jdU])
     w3 = scale(32.0 / (9.0 * tau**2), gdiff)
     combo = _require_converged(
-        phi_linear_combination(
-            lambda w: problem.jac_action(u, w),
-            tau,
-            [(1, f), (3, w3)],
-            tol_abs,
-            bounds=problem.spectral_bounds(u) if backend == "leja" else None,
-            backend=backend,
-        ),
+        phi_linear_combination(applyJ, tau, [(1, f), (3, w3)], tol_abs, bounds, backend),
         "exprb42 update",
     )
     if stats is not None:

@@ -1,25 +1,27 @@
 """Action of exponential and phi functions on vectors.
 
-Two evaluators are provided: a Krylov subspace method (Arnoldi with modified
-Gram-Schmidt and one full reorthogonalization pass; the result coefficients
-and the residual estimate come from one expm of the column-augmented
-Hessenberg matrix) and Leja interpolation (real Leja points on [-2, 2],
-scaled and shifted to the Gershgorin interval of the operator, Newton form
-with divided differences computed via the matrix method on a bidiagonal
-node matrix, phi_p through p leading zero nodes, for a leading block of
-points that doubles only when the evaluation runs past it).
+Two evaluators of phi_p(t A) x are provided: a Krylov subspace method
+(Arnoldi with modified Gram-Schmidt and one full reorthogonalization pass;
+the result coefficients and the residual estimate come from one expm of the
+column-augmented Hessenberg matrix) and Leja interpolation (real Leja points
+on [-2, 2], scaled and shifted to the Gershgorin interval of the operator,
+Newton form with divided differences computed via the matrix method on a
+bidiagonal node matrix, phi_p through p leading zero nodes, for a leading
+block of points that doubles only when the evaluation runs past it).  Each
+evaluation returns its result, the number of operator applications and its
+last error estimate, or raises _NotConverged with the applications spent.
 
-Both evaluators fall back to uniform substepping when a single evaluation
-does not converge within its budget: the substep count doubles on each
-failure up to a cap of 1024.  Substepped evaluations of phi_p with p >= 1
-are chained as exponential actions of the augmented operator
+One substep loop serves the three entry points.  A single phi_p action is
+first tried as one evaluation on A; when that does not converge within its
+budget, the loop chains s equal exponential substeps, s = 2, 4, ... up to a
+cap of 1024, of A (p = 0) or of the augmented operator
 
     [[A, W], [0, K]]
 
 whose top block, applied to a padded start vector, yields
-sum_p tau^p phi_p(tau A) w_p.  The same construction evaluates the
-phi-linear-combination needed by the fourth-order integrator in a single
-pass.
+sum_p tau^p phi_p(tau A) w_p.  The phi-linear-combination needed by the
+fourth-order integrator is the same chain from s = 1.  The iteration count
+of a result sums the applications of every evaluation, failed ones included.
 """
 
 from __future__ import annotations
@@ -51,7 +53,11 @@ class SubspaceCapError(RuntimeError):
 
 
 class _NotConverged(Exception):
-    pass
+    """An evaluation ran out of budget after ``applies`` operator calls."""
+
+    def __init__(self, applies: int):
+        super().__init__(applies)
+        self.applies = applies
 
 
 @dataclass
@@ -139,18 +145,6 @@ def arnoldi_extend(applyA, state: KrylovState) -> KrylovState:
     return state
 
 
-class _CountingApply:
-    """Wraps an operator action and counts how often it is applied."""
-
-    def __init__(self, applyA):
-        self._apply = applyA
-        self.calls = 0
-
-    def __call__(self, x):
-        self.calls += 1
-        return self._apply(x)
-
-
 def hessenberg_phi_e1(Hm, q: int) -> np.ndarray:
     """Columns exp(Hm) e_1, phi_1(Hm) e_1, ..., phi_q(Hm) e_1 (q >= 1) from one
     expm of [[Hm, e_1, 0], [0, 0, I_{q-1}], [0, 0, 0]] (Saad 1992; Sidje 1998):
@@ -163,6 +157,31 @@ def hessenberg_phi_e1(Hm, q: int) -> np.ndarray:
     return dense_expm(aug)[:m, np.r_[0, m : m + q]]
 
 
+def _krylov_arnoldi(applyA, x, t, tol_abs, p, m_max):
+    """One Arnoldi evaluation of phi_p(t A) x (p = 0 gives exp) with the
+    stopping rule of krylov_phi_action.
+
+    Returns (y, applies, last_estimate); raises _NotConverged at the
+    dimension cap.
+    """
+    if float(np.linalg.norm(x)) == 0.0:
+        return x.copy(), 0, 0.0
+    state = arnoldi_start(x, m_max=m_max)
+    q = max(p, 1)
+    while True:
+        arnoldi_extend(applyA, state)
+        m = state.m
+        cols = hessenberg_phi_e1(t * state.H[:m, :m], q)
+        if state.invariant:
+            err = 0.0
+        else:
+            err = state.beta * t * abs(state.H[m, m - 1]) * abs(cols[m - 1, q])
+        if err <= tol_abs or state.invariant:
+            return lincomb(list(state.beta * cols[:, p]), state.V[:m]), m, err
+        if m >= m_max:
+            raise _NotConverged(m)
+
+
 def krylov_phi_action(applyA, req: PhiActionRequest, m_max: int = DEFAULT_M_MAX) -> PhiActionResult:
     """y ~ phi_p(tau A) v by Arnoldi iteration.
 
@@ -171,27 +190,9 @@ def krylov_phi_action(applyA, req: PhiActionRequest, m_max: int = DEFAULT_M_MAX)
     q = max(p, 1), checked after every extension.  Falls back to substepped,
     chained evaluation when the dimension cap is hit.
     """
-    applyA = _CountingApply(applyA)
-    vnorm = float(np.linalg.norm(req.v))
-    if vnorm == 0.0:
-        return PhiActionResult(np.zeros_like(np.asarray(req.v, dtype=float)), 0, 1, True, 0.0)
-    state = arnoldi_start(req.v, m_max=m_max)
-    beta = state.beta
-    q = max(req.p, 1)
-    while True:
-        arnoldi_extend(applyA, state)
-        m = state.m
-        cols = hessenberg_phi_e1(req.tau * state.H[:m, :m], q)
-        if state.invariant:
-            err = 0.0
-        else:
-            err = beta * req.tau * abs(state.H[m, m - 1]) * abs(cols[m - 1, q])
-        if err <= req.tol or state.invariant:
-            y = lincomb(list(beta * cols[:, req.p]), state.V[:m])
-            return PhiActionResult(y, applyA.calls, 1, True, err)
-        if state.m >= m_max:
-            break
-    return _phi_action_substepped(applyA, req, backend="krylov", m_max=m_max, start_substeps=2)
+    return _phi_engine(
+        applyA, req.tau, [(req.p, req.v)], req.tol, None, "krylov", m_max, None, single=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +317,7 @@ def _leja_newton(applyA, x, t, tol_abs, p, c, gamma, points):
     """One Newton-form Leja evaluation of phi_p(t A) x (p = 0 gives exp).
 
     Raises _NotConverged when the point budget is exhausted or the terms
-    diverge.  Returns (y, terms_used, last_estimate).
+    diverge.  Returns (y, applies, last_estimate); term j costs one apply.
 
     The magnitude of the Newton terms oscillates, so a single small term is
     not a safe stopping signal; termination requires two consecutive term
@@ -341,12 +342,12 @@ def _leja_newton(applyA, x, t, tol_abs, p, c, gamma, points):
         rnorm = norm2(r)
         est = abs(dd[j]) * rnorm
         if not math.isfinite(est) or rnorm > guard:
-            raise _NotConverged("Leja term diverged")
+            raise _NotConverged(j)
         small = est <= tol_abs
         if small and prev_small and j >= 2:
             return y, j, est
         prev_small = small
-    raise _NotConverged("Leja point budget exhausted")
+    raise _NotConverged(len(xi) - 1)
 
 
 def leja_phi_action(
@@ -362,22 +363,9 @@ def leja_phi_action(
     """
     if req.bounds is None:
         raise ValueError("leja_phi_action requires spectral bounds")
-    applyA = _CountingApply(applyA)
-    v = np.asarray(req.v, dtype=float)
-    vnorm = float(np.linalg.norm(v))
-    if vnorm == 0.0:
-        return PhiActionResult(np.zeros_like(v), 0, 1, True, 0.0)
-    seq = points if points is not None else default_leja_sequence()
-    c, gamma = _leja_interval(req.bounds)
-    try:
-        y, used, est = _leja_newton(
-            applyA, v, req.tau, req.tol, req.p, c, gamma, seq.points
-        )
-        return PhiActionResult(y, applyA.calls, 1, True, est)
-    except _NotConverged:
-        pass
-    return _phi_action_substepped(
-        applyA, req, backend="leja", points=seq, start_substeps=2
+    return _phi_engine(
+        applyA, req.tau, [(req.p, req.v)], req.tol, req.bounds, "leja", DEFAULT_M_MAX, points,
+        single=True,
     )
 
 
@@ -388,15 +376,18 @@ def leja_phi_action(
 class _AugmentedOperator:
     """Action of [[A, W], [0, K]] with K the q x q upper-shift nilpotent.
 
-    exp(tau Aug) applied to [0; e_q] has sum_j tau^j phi_j(tau A) w_j in
-    its top block, with w_j stored in column q - j of W.
+    ``terms`` holds (p, w_p) pairs with p >= 1 and q the largest p.
+    exp(tau Aug) applied to [0; e_q] has sum_p tau^p phi_p(tau A) w_p in
+    its top block, with w_p stored in column q - p of W (zero for a p that
+    is not among the terms).
     """
 
-    def __init__(self, applyA, dim, columns):
+    def __init__(self, applyA, dim, terms):
         self.applyA = applyA
         self.dim = dim
-        self.q = len(columns)
-        self.columns = [np.asarray(w, dtype=float) for w in columns]
+        self.q = max(p for p, _w in terms)
+        by_p = dict(terms)
+        self.columns = [by_p.get(self.q - c, np.zeros(dim)) for c in range(self.q)]
 
     def start_vector(self) -> np.ndarray:
         x = np.zeros(self.dim + self.q)
@@ -405,20 +396,13 @@ class _AugmentedOperator:
 
     def __call__(self, x):
         top = self.applyA(x[: self.dim])
-        if self.q:
-            top = lincomb(
-                [1.0] + [x[self.dim + i] for i in range(self.q)],
-                [top] + self.columns,
-            )
+        top = lincomb([1.0] + [x[self.dim + i] for i in range(self.q)], [top] + self.columns)
         bot = np.zeros(self.q)
-        if self.q > 1:
-            bot[:-1] = x[self.dim + 1 :]
+        bot[:-1] = x[self.dim + 1 :]
         return np.concatenate([top, bot])
 
     def inflated_bounds(self, bounds: SpectralBounds) -> SpectralBounds:
         """Gershgorin bounds of the augmented operator from those of A."""
-        if self.q == 0:
-            return bounds
         W = np.column_stack(self.columns)
         extra = float(np.max(np.sum(np.abs(W), axis=1)))
         return SpectralBounds(
@@ -428,94 +412,64 @@ class _AugmentedOperator:
         )
 
 
-def _augmented_for_terms(applyA, dim, terms):
-    """Augmented operator packing (p, w) terms; columns[c] holds w_{q-c}."""
-    q = max(p for p, _w in terms)
-    by_p = {p: np.asarray(w, dtype=float) for p, w in terms}
-    columns = [by_p.get(q - c, np.zeros(dim)) for c in range(q)]
-    return _AugmentedOperator(applyA, dim, columns)
+def _phi_engine(applyA, tau, terms, tol, bounds, backend, m_max, points, single):
+    """sum_p tau^p phi_p(tau A) w_p over ``terms`` by the substep loop.
 
-
-def _krylov_expv(applyA, x, t, tol_abs, m_max):
-    """exp(t A) x by Arnoldi; raises _NotConverged at the dimension cap."""
-    beta = float(np.linalg.norm(x))
-    if beta == 0.0:
-        return x.copy(), 0.0
-    state = arnoldi_start(x, m_max=m_max)
-    while True:
-        arnoldi_extend(applyA, state)
-        m = state.m
-        cols = hessenberg_phi_e1(t * state.H[:m, :m], 1)
-        if state.invariant:
-            err = 0.0
-        else:
-            err = beta * t * abs(state.H[m, m - 1]) * abs(cols[m - 1, 1])
-        if err <= tol_abs or state.invariant:
-            return lincomb(list(beta * cols[:, 0]), state.V[:m]), err
-        if state.m >= m_max:
-            raise _NotConverged("Krylov dimension cap reached")
-
-
-def _chained_exp(apply_op, x0, tau, substeps, tol_abs, backend, m_max, points, bounds):
-    """exp(tau Op) x0 via ``substeps`` equal exponential substeps."""
-    delta = tau / substeps
-    tol_sub = tol_abs / substeps
-    y = x0
-    last_est = 0.0
+    The loop chains s equal exponential substeps of the augmented operator,
+    s = 1, 2, 4, ... up to SUBSTEP_CAP.  With ``single`` the one term (p, v)
+    yields phi_p(tau A) v instead: one direct evaluation on A comes first,
+    then the chain (of A itself when p = 0) from s = 2.  Its final tau^-p
+    rescaling amplifies absolute errors, so the chained tolerance is
+    tightened to tol * min(tau, 1)^p.
+    """
+    terms = [(p, np.asarray(w, dtype=float)) for p, w in terms]
+    dim = terms[0][1].size
+    if max(float(np.linalg.norm(w)) for _p, w in terms) == 0.0:
+        return PhiActionResult(np.zeros(dim), 0, 1, True, 0.0)
     if backend == "leja":
-        c, gamma = _leja_interval(bounds)
-    for _k in range(substeps):
+        if bounds is None:
+            raise ValueError("leja backend requires spectral bounds")
+        if points is None:
+            points = default_leja_sequence()
+
+    def evaluate(op, x, t, tol_abs, p, op_bounds):
         if backend == "krylov":
-            y, last_est = _krylov_expv(apply_op, y, delta, tol_sub, m_max)
-        else:
-            y, _used, last_est = _leja_newton(
-                apply_op, y, delta, tol_sub, 0, c, gamma, points.points
-            )
-    return y, last_est
+            return _krylov_arnoldi(op, x, t, tol_abs, p, m_max)
+        c, gamma = _leja_interval(op_bounds)
+        return _leja_newton(op, x, t, tol_abs, p, c, gamma, points.points)
 
-
-def _phi_action_substepped(
-    applyA,
-    req: PhiActionRequest,
-    backend: str,
-    m_max: int = DEFAULT_M_MAX,
-    points: LejaSequence | None = None,
-    start_substeps: int = 2,
-):
-    """Substepped fallback for a single phi_p action (chained exp actions)."""
-    if not isinstance(applyA, _CountingApply):
-        applyA = _CountingApply(applyA)
-    v = np.asarray(req.v, dtype=float)
-    vnorm = float(np.linalg.norm(v))
-    dim = v.size
-    if req.p == 0:
-        op = applyA
-        x0 = copy_vector(v)
-        bounds = req.bounds
-    else:
-        op = _augmented_for_terms(applyA, dim, [(req.p, v)])
-        x0 = op.start_vector()
-        bounds = op.inflated_bounds(req.bounds) if req.bounds is not None else None
-    if backend == "leja" and points is None:
-        points = default_leja_sequence()
-    # the final tau**-p rescaling amplifies absolute errors; tighten the
-    # chained tolerance to compensate when tau < 1
-    tol_abs = req.tol * min(req.tau, 1.0) ** req.p
-    s = start_substeps
-    while s <= SUBSTEP_CAP:
+    applies = 0
+    s = 1
+    if single:
+        [(p, v)] = terms
         try:
-            y, est = _chained_exp(
-                op, x0, req.tau, s, tol_abs, backend, m_max, points, bounds
-            )
-            top = y[:dim]
-            if req.p > 0:
-                top = scale(req.tau ** (-req.p), top)
-            return PhiActionResult(top, applyA.calls, s, True, est)
-        except _NotConverged:
+            y, applies, est = evaluate(applyA, v, tau, tol, p, bounds)
+            return PhiActionResult(y, applies, 1, True, est)
+        except _NotConverged as exc:
+            applies = exc.applies
+        s = 2
+        tol = tol * min(tau, 1.0) ** p
+    if single and p == 0:
+        op, x0, op_bounds = applyA, copy_vector(v), bounds
+    else:
+        op = _AugmentedOperator(applyA, dim, terms)
+        x0 = op.start_vector()
+        op_bounds = op.inflated_bounds(bounds) if backend == "leja" else None
+    while s <= SUBSTEP_CAP:
+        y = x0
+        try:
+            for _k in range(s):
+                y, n, est = evaluate(op, y, tau / s, tol / s, 0, op_bounds)
+                applies += n
+        except _NotConverged as exc:
+            applies += exc.applies
             s *= 2
-    return PhiActionResult(
-        np.full(dim, np.nan), applyA.calls, SUBSTEP_CAP, False, math.inf
-    )
+            continue
+        y = y[:dim]
+        if single and p > 0:
+            y = scale(tau ** (-p), y)
+        return PhiActionResult(y, applies, s, True, est)
+    return PhiActionResult(np.full(dim, np.nan), applies, SUBSTEP_CAP, False, math.inf)
 
 
 def phi_linear_combination(
@@ -543,30 +497,4 @@ def phi_linear_combination(
         raise ValueError(f"unknown backend {backend!r}")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    applyJ = _CountingApply(applyJ)
-    dim = np.asarray(terms[0][1]).size
-    wnorm = max(float(np.linalg.norm(np.asarray(w))) for _p, w in terms)
-    if wnorm == 0.0:
-        return PhiActionResult(np.zeros(dim), 0, 1, True, 0.0)
-    op = _augmented_for_terms(applyJ, dim, terms)
-    x0 = op.start_vector()
-    if backend == "leja":
-        if bounds is None:
-            raise ValueError("leja backend requires spectral bounds")
-        aug_bounds = op.inflated_bounds(bounds)
-        if points is None:
-            points = default_leja_sequence()
-    else:
-        aug_bounds = bounds
-    s = 1
-    while s <= SUBSTEP_CAP:
-        try:
-            y, est = _chained_exp(
-                op, x0, tau, s, tol, backend, m_max, points, aug_bounds
-            )
-            return PhiActionResult(y[:dim], applyJ.calls, s, True, est)
-        except _NotConverged:
-            s = 2 if s == 1 else s * 2
-    return PhiActionResult(
-        np.full(dim, np.nan), applyJ.calls, SUBSTEP_CAP, False, math.inf
-    )
+    return _phi_engine(applyJ, tau, terms, tol, bounds, backend, m_max, points, single=False)

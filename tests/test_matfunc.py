@@ -28,13 +28,36 @@ from expbench.matfunc import (
     phi_linear_combination,
     save_leja_points,
 )
-from expbench.problems import AdvDiffProblem, advdiff_kappa
+from expbench.problems import AdvDiffProblem, NavierStokesProblem, advdiff_kappa
 
-from conftest import fresh_counter, use_counter
+from conftest import dense_from_action, fresh_counter, use_counter
 
 
 def advdiff(n, kappa=1.0 / 80.0):
     return AdvDiffProblem(n, advdiff_kappa(("const", kappa)))
+
+
+def stiff_case():
+    """(problem, v, tau, tol) of a phi_1 action that only converges on the
+    substepped path."""
+    pb = advdiff(159)
+    return pb, pb.initial_state(), 1.0, 1e-8
+
+
+# (iterations, substeps, counted events) of the stiff calls, pinned so that a
+# change to the substep loop cannot move the counted cost unnoticed
+STIFF_COUNTS = {
+    "krylov": (485, 4, {"dot": 42635, "lincomb": 42533, "matvec": 485, "scale": 492}),
+    "leja": (
+        564, 4, {"dot": 564, "fetch": 6, "lincomb": 1589, "matvec": 564, "scale": 7, "store": 6}
+    ),
+    "combination-krylov": (
+        505, 4, {"dot": 45063, "lincomb": 45061, "matvec": 505, "scale": 511}
+    ),
+    "combination-leja": (
+        588, 4, {"dot": 588, "fetch": 6, "lincomb": 1764, "matvec": 588, "scale": 6, "store": 6}
+    ),
+}
 
 
 class TestArnoldi:
@@ -124,6 +147,17 @@ class TestKrylovPhiAction:
             )
         assert res.converged
         assert res.iterations == c.count("matvec")
+
+    def test_substepped_iterations_match_matvec_count(self):
+        pb, v, tau, tol = stiff_case()
+        c = fresh_counter(ADVDIFF_1D, pb.n)
+        with use_counter(c):
+            res = krylov_phi_action(
+                lambda w: pb.rhs(w), PhiActionRequest(p=1, tau=tau, v=v, tol=tol)
+            )
+        assert res.converged and res.substeps > 1
+        assert res.iterations == c.count("matvec")
+        assert (res.iterations, res.substeps, c.events) == STIFF_COUNTS["krylov"]
 
     def test_request_validation(self):
         with pytest.raises(ValueError):
@@ -359,6 +393,35 @@ class TestLejaPhiAction:
         assert res.converged
         assert res.iterations == c.count("matvec")
 
+    def test_substepped_iterations_match_matvec_count(self):
+        pb, v, tau, tol = stiff_case()
+        c = fresh_counter(ADVDIFF_1D, pb.n)
+        with use_counter(c):
+            res = leja_phi_action(
+                lambda w: pb.rhs(w),
+                PhiActionRequest(p=1, tau=tau, v=v, tol=tol, bounds=pb.spectral_bounds()),
+            )
+        assert res.converged and res.substeps > 1
+        assert res.iterations == c.count("matvec")
+        assert (res.iterations, res.substeps, c.events) == STIFF_COUNTS["leja"]
+
+    def test_exhausted_point_budget_counts_its_applies(self):
+        # 16 points run out before tol=1e-10 is met, so the evaluation
+        # substeps after budget failures rather than diverging terms
+        pb = advdiff(30)
+        points = LejaSequence(default_leja_sequence().points[:16])
+        c = fresh_counter(ADVDIFF_1D, 30)
+        with use_counter(c):
+            res = leja_phi_action(
+                lambda w: pb.rhs(w),
+                PhiActionRequest(
+                    p=1, tau=0.1, v=np.ones(30), tol=1e-10, bounds=pb.spectral_bounds()
+                ),
+                points=points,
+            )
+        assert res.converged and res.substeps > 1
+        assert res.iterations == c.count("matvec")
+
 
 class TestPhiLinearCombination:
     def test_single_term_matches_direct_evaluator(self):
@@ -415,6 +478,24 @@ class TestPhiLinearCombination:
         assert res.converged
         assert np.linalg.norm(res.y - oracle) / np.linalg.norm(oracle) <= 1e-9
 
+    @pytest.mark.parametrize("backend", ["krylov", "leja"])
+    def test_substepped_iterations_match_matvec_count(self, backend):
+        pb, v, tau, tol = stiff_case()
+        c = fresh_counter(ADVDIFF_1D, pb.n)
+        with use_counter(c):
+            res = phi_linear_combination(
+                lambda w: pb.rhs(w),
+                tau,
+                [(1, v), (3, np.sin(np.arange(pb.n)))],
+                tol,
+                bounds=pb.spectral_bounds(),
+                backend=backend,
+            )
+        assert res.converged and res.substeps > 1
+        assert res.iterations == c.count("matvec")
+        expected = STIFF_COUNTS[f"combination-{backend}"]
+        assert (res.iterations, res.substeps, c.events) == expected
+
     def test_validation(self):
         pb = advdiff(6)
         with pytest.raises(ValueError):
@@ -446,3 +527,23 @@ class TestSubstepping:
             res = fn(lambda w: pb.rhs(w), req)
             assert res.converged
             assert np.linalg.norm(res.y - oracle) <= 1e-7
+
+    def test_non_normal_ns_jacobian_against_dense_oracle(self):
+        # the NS Jacobian is non-normal with a complex spectrum; Leja sees
+        # only its real interval and substeps through the augmented operator
+        ns = NavierStokesProblem(8, 1e-6)
+        u = ns.initial_state()
+        applyJ = lambda w: ns.jac_action(u, w)
+        J = dense_from_action(applyJ, ns.dimension)
+        v = ns.rhs(u)
+        tol = 1e-10
+        for tau in (0.25, 1.0, 4.0):
+            for p in (0, 1, 3):
+                oracle = dense_phi(tau * J, p) @ v
+                for fn, bounds in (
+                    (krylov_phi_action, None),
+                    (leja_phi_action, ns.spectral_bounds(u)),
+                ):
+                    res = fn(applyJ, PhiActionRequest(p=p, tau=tau, v=v, tol=tol, bounds=bounds))
+                    assert res.converged
+                    assert np.linalg.norm(res.y - oracle) <= tol, (fn.__name__, tau, p)
