@@ -107,9 +107,8 @@ def rk4_step(problem, u, tau: float) -> np.ndarray:
 
 
 def _linearize(problem, u, backend):
-    """Jacobian action at ``u`` and, for Leja, its spectral bounds."""
-    applyJ = lambda w: problem.jac_action(u, w)
-    return applyJ, problem.spectral_bounds(u) if backend == "leja" else None
+    """Jacobian action frozen at ``u`` and, for Leja, its spectral bounds."""
+    return problem.linearize(u), problem.spectral_bounds(u) if backend == "leja" else None
 
 
 def _phi_action(applyJ, bounds, p, tau, v, tol, backend) -> PhiActionResult:

@@ -422,15 +422,14 @@ def _phi_engine(applyA, tau, terms, tol, bounds, backend, m_max, points, single)
     rescaling amplifies absolute errors, so the chained tolerance is
     tightened to tol * min(tau, 1)^p.
     """
+    if backend == "leja" and bounds is None:
+        raise ValueError("leja backend requires spectral bounds")
     terms = [(p, np.asarray(w, dtype=float)) for p, w in terms]
     dim = terms[0][1].size
     if max(float(np.linalg.norm(w)) for _p, w in terms) == 0.0:
         return PhiActionResult(np.zeros(dim), 0, 1, True, 0.0)
-    if backend == "leja":
-        if bounds is None:
-            raise ValueError("leja backend requires spectral bounds")
-        if points is None:
-            points = default_leja_sequence()
+    if backend == "leja" and points is None:
+        points = default_leja_sequence()
 
     def evaluate(op, x, t, tol_abs, p, op_bounds):
         if backend == "krylov":

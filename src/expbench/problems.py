@@ -4,10 +4,16 @@
   boundary conditions (linear, state-independent Jacobian).
 * 2D compressible isothermal Navier-Stokes on a periodic grid, with the
   right-hand side and matrix-free Jacobian action written in terms of
-  per-axis central stencils and component-wise products.
+  per-axis central stencils and component-wise products.  The stencils
+  take the periodic neighbours from slices of the field, not from shifted
+  copies, in the floating-point order of the shifted-copy formulas.
 
-Both expose the interface the integrators expect: ``rhs``, ``jac_action``,
-``spectral_bounds``, ``dimension``, ``cost_table``.
+Both expose the interface the integrators expect: ``rhs``, ``linearize``,
+``jac_action``, ``spectral_bounds``, ``dimension``, ``cost_table``.
+``linearize(u)`` returns the Jacobian action ``w -> J(u) w`` frozen at
+``u``, so its state-dependent terms are computed once per step; each call
+of the action records one counted Jacobian event and ``jac_action(u, w)``
+is ``linearize(u)(w)``.
 """
 
 from __future__ import annotations
@@ -72,8 +78,12 @@ class AdvDiffProblem:
     def rhs(self, u) -> np.ndarray:
         return apply_operator(self.operator, u)
 
+    def linearize(self, u=None):
+        """The Jacobian action w -> A w; A does not depend on the state."""
+        return lambda w: apply_operator(self.operator, w)
+
     def jac_action(self, u, w) -> np.ndarray:
-        return apply_operator(self.operator, w)
+        return self.linearize(u)(w)
 
     def spectral_bounds(self, u=None) -> SpectralBounds:
         return self._bounds
@@ -90,22 +100,52 @@ class AdvDiffProblem:
 # 1D stencil along x (the fast axis) and (B_h (x) I) along y.
 
 
+def _pair_x(op, f):
+    """op(f[:, j+1], f[:, j-1]) at every j, periodic along x (axis 1).
+
+    The interior comes from the flattened field; its entries at j = 0 and
+    j = n-1 pair values of neighbouring rows and are overwritten by the
+    wrapped columns.
+    """
+    out = np.empty(f.shape)
+    flat, out_flat = f.reshape(-1), out.reshape(-1)
+    op(flat[2:], flat[:-2], out=out_flat[1:-1])
+    op(f[:, 1], f[:, -1], out=out[:, 0])
+    op(f[:, 0], f[:, -2], out=out[:, -1])
+    return out
+
+
+def _pair_y(op, f):
+    """op(f[i+1], f[i-1]) at every i, periodic along y (axis 0)."""
+    out = np.empty(f.shape)
+    op(f[2:], f[:-2], out=out[1:-1])
+    op(f[1], f[-1], out=out[0])
+    op(f[0], f[-2], out=out[-1])
+    return out
+
+
 def _dx(f, h):
-    return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * h)
+    out = _pair_x(np.subtract, f)
+    out /= 2.0 * h
+    return out
 
 
 def _dy(f, h):
-    return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * h)
+    out = _pair_y(np.subtract, f)
+    out /= 2.0 * h
+    return out
 
 
 def _lap(f, h):
-    return (
-        np.roll(f, -1, axis=1)
-        + np.roll(f, 1, axis=1)
-        + np.roll(f, -1, axis=0)
-        + np.roll(f, 1, axis=0)
-        - 4.0 * f
-    ) / h**2
+    """(f[:, j+1] + f[:, j-1] + f[i+1] + f[i-1] - 4 f) / h^2, summed left to right."""
+    out = _pair_x(np.add, f)
+    out[:-1] += f[1:]
+    out[-1] += f[0]
+    out[1:] += f[:-1]
+    out[0] += f[-1]
+    out -= 4.0 * f
+    out /= h**2
+    return out
 
 
 def _split(state, n):
@@ -146,39 +186,58 @@ def ns_rhs(state, n: int, nu: float) -> np.ndarray:
     return _join(f1, f2, f3)
 
 
-def ns_jacobian_action(state, w, n: int, nu: float) -> np.ndarray:
-    """J(U) [w1, w2, w3]^T, matrix-free; one counted jacvec event (21N)."""
-    rho, u, v = _split(state, n)
-    w1, w2, w3 = _split(w, n)
+def ns_linearize(state, n: int, nu: float):
+    """The Jacobian action w -> J(U) w, frozen at ``state``.
+
+    The state-dependent terms (the gradients of rho, u and v, and rho^2)
+    are computed once here; each call of the returned action records one
+    counted jacvec event (21N), linearizing records none.
+    """
+    # a copy, so the action stays frozen if the caller reuses its array
+    rho, u, v = _split(np.array(state, dtype=float), n)
     if np.min(rho) <= 0.0:
         raise NonPositiveDensityError("density is not positive")
-    record("jacvec")
     h = 1.0 / n
-    r1 = (
-        -_dx(u * w1, h)
-        - _dy(v * w1, h)
-        - _dx(rho * w2, h)
-        - _dy(rho * w3, h)
-    )
-    r2 = (
-        w1 * _dx(rho, h) / rho**2
-        - _dx(w1, h) / rho
-        - w2 * _dx(u, h)
-        - u * _dx(w2, h)
-        - v * _dy(w2, h)
-        + nu * _lap(w2, h)
-        - w3 * _dy(u, h)
-    )
-    r3 = (
-        w1 * _dy(rho, h) / rho**2
-        - _dy(w1, h) / rho
-        - w2 * _dx(v, h)
-        - u * _dx(w3, h)
-        - w3 * _dy(v, h)
-        - v * _dy(w3, h)
-        + nu * _lap(w3, h)
-    )
-    return _join(r1, r2, r3)
+    dxr, dyr = _dx(rho, h), _dy(rho, h)
+    dxu, dyu = _dx(u, h), _dy(u, h)
+    dxv, dyv = _dx(v, h), _dy(v, h)
+    rho2 = rho**2
+
+    def apply(w):
+        w1, w2, w3 = _split(w, n)
+        record("jacvec")
+        r1 = (
+            -_dx(u * w1, h)
+            - _dy(v * w1, h)
+            - _dx(rho * w2, h)
+            - _dy(rho * w3, h)
+        )
+        r2 = (
+            w1 * dxr / rho2
+            - _dx(w1, h) / rho
+            - w2 * dxu
+            - u * _dx(w2, h)
+            - v * _dy(w2, h)
+            + nu * _lap(w2, h)
+            - w3 * dyu
+        )
+        r3 = (
+            w1 * dyr / rho2
+            - _dy(w1, h) / rho
+            - w2 * dxv
+            - u * _dx(w3, h)
+            - w3 * dyv
+            - v * _dy(w3, h)
+            + nu * _lap(w3, h)
+        )
+        return _join(r1, r2, r3)
+
+    return apply
+
+
+def ns_jacobian_action(state, w, n: int, nu: float) -> np.ndarray:
+    """J(U) [w1, w2, w3]^T, matrix-free; one counted jacvec event (21N)."""
+    return ns_linearize(state, n, nu)(w)
 
 
 def ns_spectral_bounds(state, n: int, nu: float) -> SpectralBounds:
@@ -192,15 +251,11 @@ def ns_spectral_bounds(state, n: int, nu: float) -> SpectralBounds:
     inv2h = 1.0 / (2.0 * h)
     nu4h2 = 4.0 * nu / h**2
 
-    def sx(f):
-        return np.roll(f, -1, axis=1) + np.roll(f, 1, axis=1)
-
-    def sy(f):
-        return np.roll(f, -1, axis=0) + np.roll(f, 1, axis=0)
-
     au, av, arho = np.abs(u), np.abs(v), np.abs(rho)
     d1 = np.zeros_like(rho)
-    r1 = (sx(au) + sy(av) + sx(arho) + sy(arho)) * inv2h
+    r1 = (
+        _pair_x(np.add, au) + _pair_y(np.add, av) + _pair_x(np.add, arho) + _pair_y(np.add, arho)
+    ) * inv2h
     d2 = -_dx(u, h) - nu4h2
     r2 = (
         np.abs(_dx(rho, h)) / rho**2
@@ -276,8 +331,11 @@ class NavierStokesProblem:
     def rhs(self, state) -> np.ndarray:
         return ns_rhs(state, self.n, self.nu)
 
+    def linearize(self, state):
+        return ns_linearize(state, self.n, self.nu)
+
     def jac_action(self, state, w) -> np.ndarray:
-        return ns_jacobian_action(state, w, self.n, self.nu)
+        return self.linearize(state)(w)
 
     def spectral_bounds(self, state) -> SpectralBounds:
         return ns_spectral_bounds(state, self.n, self.nu)

@@ -20,8 +20,11 @@ class DenseLinearProblem:
     def rhs(self, u):
         return self.M @ np.asarray(u, dtype=float)
 
+    def linearize(self, u=None):
+        return lambda w: self.M @ np.asarray(w, dtype=float)
+
     def jac_action(self, u, w):
-        return self.M @ np.asarray(w, dtype=float)
+        return self.linearize(u)(w)
 
     def spectral_bounds(self, u=None) -> SpectralBounds:
         return gershgorin_bounds(self.M)

@@ -458,6 +458,18 @@ class TestPhiLinearCombination:
         assert res.converged
         assert np.all(res.y == 0.0)
 
+    def test_zero_terms_without_leja_bounds_raise(self):
+        pb = advdiff(10)
+        with pytest.raises(ValueError):
+            phi_linear_combination(
+                lambda x: pb.rhs(x), 0.5, [(1, np.zeros(10)), (3, np.zeros(10))], 1e-10,
+                bounds=None, backend="leja",
+            )
+        with pytest.raises(ValueError):
+            leja_phi_action(
+                lambda x: pb.rhs(x), PhiActionRequest(p=1, tau=0.5, v=np.zeros(10), tol=1e-10)
+            )
+
     @pytest.mark.parametrize("backend", ["krylov", "leja"])
     def test_two_term_combination_against_per_term_oracle(self, backend):
         pb = advdiff(20)

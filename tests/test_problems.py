@@ -9,6 +9,9 @@ from expbench.problems import (
     AdvDiffProblem,
     NavierStokesProblem,
     NonPositiveDensityError,
+    _dx,
+    _dy,
+    _lap,
     advdiff_kappa,
     ns_jacobian_action,
     ns_rhs,
@@ -18,6 +21,102 @@ from expbench.problems import (
 )
 
 from conftest import dense_from_action, fresh_counter, use_counter
+
+
+# Shifted-copy (np.roll) forms of the periodic stencils, the Jacobian action
+# and the Gershgorin bounds: the slice-based versions must match them bit for
+# bit, so these keep the floating-point order of every expression.
+
+
+def roll_dx(f, h):
+    return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * h)
+
+
+def roll_dy(f, h):
+    return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * h)
+
+
+def roll_lap(f, h):
+    return (
+        np.roll(f, -1, axis=1)
+        + np.roll(f, 1, axis=1)
+        + np.roll(f, -1, axis=0)
+        + np.roll(f, 1, axis=0)
+        - 4.0 * f
+    ) / h**2
+
+
+def fields(x, n):
+    return [x[i * n * n : (i + 1) * n * n].reshape(n, n) for i in range(3)]
+
+
+def roll_jacobian_action(state, w, n, nu):
+    rho, u, v = fields(state, n)
+    w1, w2, w3 = fields(w, n)
+    h = 1.0 / n
+    dx, dy, lap = roll_dx, roll_dy, roll_lap
+    r1 = -dx(u * w1, h) - dy(v * w1, h) - dx(rho * w2, h) - dy(rho * w3, h)
+    r2 = (
+        w1 * dx(rho, h) / rho**2
+        - dx(w1, h) / rho
+        - w2 * dx(u, h)
+        - u * dx(w2, h)
+        - v * dy(w2, h)
+        + nu * lap(w2, h)
+        - w3 * dy(u, h)
+    )
+    r3 = (
+        w1 * dy(rho, h) / rho**2
+        - dy(w1, h) / rho
+        - w2 * dx(v, h)
+        - u * dx(w3, h)
+        - w3 * dy(v, h)
+        - v * dy(w3, h)
+        + nu * lap(w3, h)
+    )
+    return np.concatenate([r1.ravel(), r2.ravel(), r3.ravel()])
+
+
+def roll_spectral_bounds(state, n, nu):
+    rho, u, v = fields(state, n)
+    h = 1.0 / n
+    inv2h = 1.0 / (2.0 * h)
+    nu4h2 = 4.0 * nu / h**2
+
+    def sx(f):
+        return np.roll(f, -1, axis=1) + np.roll(f, 1, axis=1)
+
+    def sy(f):
+        return np.roll(f, -1, axis=0) + np.roll(f, 1, axis=0)
+
+    au, av, arho = np.abs(u), np.abs(v), np.abs(rho)
+    r1 = (sx(au) + sy(av) + sx(arho) + sy(arho)) * inv2h
+    d2 = -roll_dx(u, h) - nu4h2
+    r2 = (
+        np.abs(roll_dx(rho, h)) / rho**2
+        + 1.0 / (rho * h)
+        + au / h
+        + av / h
+        + np.abs(roll_dy(u, h))
+        + nu4h2
+    )
+    d3 = -roll_dy(v, h) - nu4h2
+    r3 = (
+        np.abs(roll_dy(rho, h)) / rho**2
+        + 1.0 / (rho * h)
+        + av / h
+        + au / h
+        + np.abs(roll_dx(v, h))
+        + nu4h2
+    )
+    d = np.concatenate([np.zeros(n * n), d2.ravel(), d3.ravel()])
+    r = np.concatenate([r1.ravel(), r2.ravel(), r3.ravel()])
+    return float(np.min(d - r)), float(np.max(d + r)), float(np.max(r))
+
+
+def perturbed_shear_flow(n, seed):
+    rng = np.random.default_rng(seed)
+    return shear_flow_init(n) + 0.05 * rng.standard_normal(3 * n * n)
 
 
 class TestKappaProfiles:
@@ -49,6 +148,80 @@ class TestAdvDiffProblem:
         pb = AdvDiffProblem(12, advdiff_kappa("mixed"))
         u = np.linspace(0.0, 1.0, 12)
         assert np.array_equal(pb.rhs(u), pb.jac_action(np.zeros(12), u))
+
+
+class TestPeriodicStencils:
+    @pytest.mark.parametrize("n", [4, 5, 40])
+    def test_stencils_match_roll_formulas_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        h = 1.0 / n
+        for _ in range(3):
+            f = rng.standard_normal((n, n))
+            assert np.array_equal(_dx(f, h), roll_dx(f, h))
+            assert np.array_equal(_dy(f, h), roll_dy(f, h))
+            assert np.array_equal(_lap(f, h), roll_lap(f, h))
+
+    @pytest.mark.parametrize("n", [4, 5, 40])
+    def test_spectral_bounds_match_roll_formulas_bitwise(self, n):
+        nu = 1e-3
+        for seed in (0, 1):
+            state = perturbed_shear_flow(n, seed)
+            b = ns_spectral_bounds(state, n, nu)
+            assert (b.real_min, b.real_max, b.imag_halfwidth) == roll_spectral_bounds(
+                state, n, nu
+            )
+
+
+class TestFrozenLinearization:
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_apply_matches_roll_jacobian_bitwise(self, n):
+        nu = 1e-4
+        pb = NavierStokesProblem(n, nu)
+        state = perturbed_shear_flow(n, 30 + n)
+        applyJ = pb.linearize(state)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            w = rng.standard_normal(3 * n * n)
+            assert np.array_equal(applyJ(w), roll_jacobian_action(state, w, n, nu))
+            assert np.array_equal(pb.jac_action(state, w), applyJ(w))
+
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_linearize_is_uncounted_and_each_apply_is_one_jacvec(self, n):
+        pb = NavierStokesProblem(n, 1e-4)
+        state = perturbed_shear_flow(n, 40 + n)
+        w = np.ones(3 * n * n)
+        c = fresh_counter(NAVIER_STOKES_2D, n * n)
+        with use_counter(c):
+            applyJ = pb.linearize(state)
+            assert c.events == {}
+            for calls in (1, 2, 3):
+                applyJ(w)
+                assert c.events == {"jacvec": calls}
+        assert c.total_cost() == 3 * 21 * n * n
+
+    def test_action_stays_frozen_when_the_state_array_changes(self):
+        n = 8
+        pb = NavierStokesProblem(n, 1e-4)
+        state = perturbed_shear_flow(n, 50)
+        w = np.random.default_rng(51).standard_normal(3 * n * n)
+        expected = roll_jacobian_action(state, w, n, pb.nu)
+        applyJ = pb.linearize(state)
+        state[:] = shear_flow_init(n)
+        assert np.array_equal(applyJ(w), expected)
+
+    def test_linearize_rejects_nonpositive_density(self):
+        n = 8
+        state = shear_flow_init(n)
+        state[3] = 0.0
+        with pytest.raises(NonPositiveDensityError):
+            NavierStokesProblem(n, 1e-4).linearize(state)
+
+    def test_advdiff_linearization_is_the_rhs_operator(self):
+        pb = AdvDiffProblem(12, advdiff_kappa("mixed"))
+        rng = np.random.default_rng(52)
+        applyJ = pb.linearize(rng.standard_normal(12))
+        w = rng.standard_normal(12)
+        assert np.array_equal(applyJ(w), pb.rhs(w))
 
 
 class TestNavierStokesRhs:
