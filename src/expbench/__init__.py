@@ -1,59 +1,4 @@
 """Exponential integrators for advection-dominated problems with a
 hardware-independent memory-operation cost model."""
 
-from .counting import ADVDIFF_1D, NAVIER_STOKES_2D, CostTable, OpCounter, use_counter
-from .harness import (
-    ExperimentSpec,
-    WorkPrecisionRecord,
-    compute_reference,
-    error_norm,
-    preset,
-    run_experiment,
-    write_csv,
-)
-from .integrators import (
-    InstabilityError,
-    IntegrationError,
-    MethodConfig,
-    METHODS,
-    PhiConvergenceError,
-    RunResult,
-    integrate,
-)
-from .linalg import (
-    SpectralBounds,
-    StencilOperator1D,
-    apply_operator,
-    build_advdiff_operator,
-    dense_expm,
-    dense_phi,
-    dot,
-    gershgorin_bounds,
-    lincomb,
-    norm2,
-    scale,
-)
-from .matfunc import (
-    KrylovState,
-    LejaSequence,
-    PhiActionRequest,
-    PhiActionResult,
-    arnoldi_extend,
-    arnoldi_start,
-    divided_differences_exp,
-    generate_leja_points,
-    krylov_phi_action,
-    leja_phi_action,
-    phi_linear_combination,
-)
-from .problems import (
-    AdvDiffProblem,
-    NavierStokesProblem,
-    advdiff_kappa,
-    ns_jacobian_action,
-    ns_rhs,
-    shear_flow_init,
-    vorticity,
-)
-
 __version__ = "0.1.0"

@@ -22,10 +22,10 @@ from .harness import (
     run_experiment,
     write_csv,
 )
-from .integrators import METHODS, MethodConfig, integrate
+from .integrators import METHODS, IntegrationError, MethodConfig, integrate
 from .linalg import dense_phi
 from .matfunc import PhiActionRequest, krylov_phi_action, leja_phi_action
-from .problems import AdvDiffProblem, NavierStokesProblem, advdiff_kappa
+from .problems import AdvDiffProblem, advdiff_kappa
 
 
 def _parse_kappa(text: str):
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="advdiff diffusion profile: const:<v> or mixed")
     run.add_argument("--nu", type=float, default=1e-6, help="NS kinematic viscosity")
     run.add_argument("--n", type=int, required=True, help="grid points (per axis for ns)")
-    run.add_argument("--methods", type=_parse_methods, default=METHODS)
+    run.add_argument("--methods", type=_parse_methods, default=tuple(METHODS))
     run.add_argument("--tau", type=_parse_floats, required=True)
     run.add_argument("--tol", type=_parse_floats, default=(1e-4, 1e-7))
     run.add_argument("--zeta", type=_parse_floats, default=(1.0, 10.0))
@@ -89,20 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _do_run(spec: ExperimentSpec, out, dump_dir) -> int:
+    if dump_dir is not None and spec.problem != "ns":
+        print("--dump-fields is only meaningful for the ns problem", file=sys.stderr)
+        return 2
     problem = build_problem(spec)
     reference = compute_reference(problem, spec.t_end, tau_hint=min(spec.taus))
     records = run_experiment(spec, reference=reference, problem=problem)
     write_csv(records, out)
     print(f"wrote {len(records)} records to {out}")
     if dump_dir is not None:
-        if not isinstance(problem, NavierStokesProblem):
-            print("--dump-fields is only meaningful for the ns problem", file=sys.stderr)
-            return 2
-        config = MethodConfig(
-            method=spec.methods[0],
-            tau=spec.taus[0],
-            tol=None if spec.methods[0] in ("rk2", "rk4") else spec.tols[0],
-        )
+        config = MethodConfig(method=spec.methods[0], tau=spec.taus[0], tol=spec.tols[0])
         result = integrate(problem, config, problem.initial_state(), spec.t_end)
         dump_fields(problem, result.final_state, dump_dir)
         print(f"wrote field snapshots to {dump_dir}")
@@ -164,7 +160,7 @@ def main(argv=None) -> int:
         else:
             spec = preset(args.name, full=args.full)
         return _do_run(spec, args.out, args.dump_fields)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -134,10 +134,11 @@ def run_experiment(spec: ExperimentSpec, reference=None, problem=None):
     for method in spec.methods:
         for tau in spec.taus:
             for tol in spec.tols:
-                # RK methods ignore tol; reuse the identical run
-                key = (method, tau, None if method in ("rk2", "rk4") else tol)
+                # explicit methods store tol None, so their run is reused
+                config = MethodConfig(method=method, tau=tau, tol=tol)
+                key = (method, tau, config.tol)
                 if key not in cell_cache:
-                    cell_cache[key] = _run_cell(problem, method, tau, tol, u0, spec.t_end, reference)
+                    cell_cache[key] = _run_cell(problem, config, u0, spec.t_end, reference)
                 error, counter, steps, converged = cell_cache[key]
                 for zeta in spec.zetas:
                     records.append(
@@ -156,12 +157,7 @@ def run_experiment(spec: ExperimentSpec, reference=None, problem=None):
     return records
 
 
-def _run_cell(problem, method, tau, tol, u0, t_end, reference):
-    config = MethodConfig(
-        method=method,
-        tau=tau,
-        tol=None if method in ("rk2", "rk4") else tol,
-    )
+def _run_cell(problem, config, u0, t_end, reference):
     try:
         result = integrate(problem, config, u0, t_end)
     except IntegrationError as exc:
@@ -234,7 +230,6 @@ def dump_fields(problem: NavierStokesProblem, state, outdir) -> None:
 # presets
 
 
-ALL_METHODS = METHODS
 _EXP_TOLS = (1e-4, 1e-7)
 _ZETAS = (1.0, 10.0)
 
@@ -250,25 +245,25 @@ def preset(name: str, full: bool = False) -> ExperimentSpec:
         taus = _tau_grid(0.25, 9 if full else 5)
         return ExperimentSpec(
             problem="advdiff", n=159, kappa=("const", 1.0 / 80.0),
-            methods=ALL_METHODS, taus=taus, tols=_EXP_TOLS, zetas=_ZETAS, t_end=1.0,
+            methods=tuple(METHODS), taus=taus, tols=_EXP_TOLS, zetas=_ZETAS, t_end=1.0,
         )
     if name == "advection":
         taus = _tau_grid(0.25, 9 if full else 5)
         return ExperimentSpec(
             problem="advdiff", n=159, kappa=("const", 1.0 / 2560.0),
-            methods=ALL_METHODS, taus=taus, tols=_EXP_TOLS, zetas=_ZETAS, t_end=1.0,
+            methods=tuple(METHODS), taus=taus, tols=_EXP_TOLS, zetas=_ZETAS, t_end=1.0,
         )
     if name == "mixed":
         taus = _tau_grid(0.1, 7 if full else 4)
         return ExperimentSpec(
             problem="advdiff", n=159, kappa="mixed",
-            methods=ALL_METHODS, taus=taus, tols=_EXP_TOLS, zetas=_ZETAS, t_end=1.0,
+            methods=tuple(METHODS), taus=taus, tols=_EXP_TOLS, zetas=_ZETAS, t_end=1.0,
         )
     if name == "shearflow":
         taus = _tau_grid(1.0, 8)
         return ExperimentSpec(
             problem="ns", n=160 if full else 40, nu=1e-6,
-            methods=ALL_METHODS, taus=taus, tols=_EXP_TOLS, zetas=_ZETAS,
+            methods=tuple(METHODS), taus=taus, tols=_EXP_TOLS, zetas=_ZETAS,
             t_end=12.0 if full else 1.0,
         )
     raise ValueError(f"unknown preset {name!r}")

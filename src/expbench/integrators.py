@@ -5,6 +5,10 @@ Rosenbrock schemes: exponential Rosenbrock-Euler (second order) and the
 two-stage fourth-order scheme with a phi_3 correction.  Exponential methods
 evaluate phi-actions of the per-step frozen Jacobian through either the
 Krylov or the Leja backend.
+
+``METHODS`` is the one table of methods: each row names a step function and
+a phi backend.  Rows without a backend are explicit and take no tolerance;
+the others require a positive one.
 """
 
 from __future__ import annotations
@@ -25,14 +29,17 @@ from .matfunc import (
     phi_linear_combination,
 )
 
-METHODS = (
-    "rk2",
-    "rk4",
-    "exprb-euler-krylov",
-    "exprb-euler-leja",
-    "exprb42-krylov",
-    "exprb42-leja",
-)
+# name -> (step function name, phi backend or None for explicit RK).  Steps
+# are looked up by name in the module globals when ``integrate`` runs, so a
+# rebound module attribute (a wrapper, a monkeypatch) is the one called.
+METHODS = {
+    "rk2": ("rk2_step", None),
+    "rk4": ("rk4_step", None),
+    "exprb-euler-krylov": ("exprb_euler_step", "krylov"),
+    "exprb-euler-leja": ("exprb_euler_step", "leja"),
+    "exprb42-krylov": ("exprb42_step", "krylov"),
+    "exprb42-leja": ("exprb42_step", "leja"),
+}
 
 INSTABILITY_THRESHOLD = 1e12
 
@@ -66,17 +73,14 @@ class MethodConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.method not in ("rk2", "rk4"):
-            if self.tol is None or self.tol <= 0:
-                raise ValueError("exponential methods require a positive tol")
+        if self.backend is None:
+            self.tol = None
+        elif self.tol is None or self.tol <= 0:
+            raise ValueError("exponential methods require a positive tol")
 
     @property
     def backend(self) -> str | None:
-        if self.method.endswith("-krylov"):
-            return "krylov"
-        if self.method.endswith("-leja"):
-            return "leja"
-        return None
+        return METHODS[self.method][1]
 
 
 @dataclass
@@ -201,10 +205,11 @@ def integrate(problem, config: MethodConfig, u0, t_end: float) -> RunResult:
     counter = OpCounter(problem.cost_table(), zeta=config.zeta)
     diagnostics = []
     steps = 0
+    step_name, backend = METHODS[config.method]
+    step = globals()[step_name]
     # Split the run tolerance evenly over the steps so phi-evaluation errors
     # accumulate to at most the prescribed relative accuracy.
     n_steps = max(1, math.ceil(t_end / config.tau - 1e-12))
-    step_tol = None if config.tol is None else config.tol / n_steps
     with use_counter(counter):
         u = copy_vector(u0)
         t = 0.0
@@ -212,18 +217,10 @@ def integrate(problem, config: MethodConfig, u0, t_end: float) -> RunResult:
             while t < t_end * (1.0 - 1e-12):
                 dt = min(config.tau, t_end - t)
                 step_stats: list = []
-                if config.method == "rk2":
-                    u = rk2_step(problem, u, dt)
-                elif config.method == "rk4":
-                    u = rk4_step(problem, u, dt)
-                elif config.method.startswith("exprb-euler"):
-                    u = exprb_euler_step(
-                        problem, u, dt, step_tol, config.backend, stats=step_stats
-                    )
+                if backend is None:
+                    u = step(problem, u, dt)
                 else:
-                    u = exprb42_step(
-                        problem, u, dt, step_tol, config.backend, stats=step_stats
-                    )
+                    u = step(problem, u, dt, config.tol / n_steps, backend, stats=step_stats)
                 t += dt
                 steps += 1
                 if step_stats:

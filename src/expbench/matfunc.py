@@ -236,18 +236,6 @@ def generate_leja_points(count: int = DEFAULT_LEJA_COUNT, grid_resolution: int |
     return LejaSequence(points=tuple(points))
 
 
-def save_leja_points(seq: LejaSequence, path) -> None:
-    """Persist the sequence as plain text, one point per line, 17 digits."""
-    with open(path, "w") as fh:
-        for p in seq.points:
-            fh.write(f"{p:.17g}\n")
-
-
-def load_leja_points(path) -> LejaSequence:
-    with open(path) as fh:
-        return LejaSequence(points=tuple(float(line) for line in fh if line.strip()))
-
-
 def divided_differences_exp(points, scaling: float, p: int = 0) -> np.ndarray:
     """Newton divided differences of z -> phi_p(scaling * z) on ``points``.
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,27 @@ class TestEndToEnd:
             ]
         )
         assert code == 2
+        assert not (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "fields").exists()
+
+    def test_preset_field_dump_rejected_before_the_sweep(self, tmp_path):
+        code = main(
+            ["preset", "--name", "diffusion", "--out", str(tmp_path / "d.csv"),
+             "--dump-fields", str(tmp_path / "fields")]
+        )
+        assert code == 2
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_unstable_dump_cell_reported_as_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(
+            [
+                "run", "--problem", "ns", "--n", "8", "--nu", "1e-6",
+                "--methods", "rk2", "--tau", "2", "--t-end", "8",
+                "--out", str(out), "--dump-fields", str(tmp_path / "fields"),
+            ]
+        )
+        assert code == 1
+        assert "error: density is not positive" in capsys.readouterr().err
+        assert all(math.isinf(r.error) for r in read_csv(out))
+        assert not (tmp_path / "fields").exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from expbench import harness
 from expbench.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -144,6 +145,27 @@ class TestRunExperiment:
             assert (loose.tol, tight.tol) == (1e-4, 1e-7)
             assert tight.error <= loose.error
             assert tight.total_cost >= loose.total_cost
+
+    def test_explicit_cells_run_once_per_tau(self, monkeypatch):
+        calls = []
+        real = harness.integrate
+
+        def counting(problem, config, u0, t_end):
+            calls.append((config.method, config.tau, config.tol))
+            return real(problem, config, u0, t_end)
+
+        monkeypatch.setattr(harness, "integrate", counting)
+        spec = small_spec(methods=("rk4", "exprb-euler-leja"), zetas=(1.0,))
+        records = run_experiment(spec)
+        assert calls == [("rk4", tau, None) for tau in spec.taus] + [
+            ("exprb-euler-leja", tau, tol) for tau in spec.taus for tol in spec.tols
+        ]
+        rk = [r for r in records if r.method == "rk4"]
+        assert [r.tol for r in rk] == [1e-4, 1e-7, 1e-4, 1e-7]
+        for loose, tight in zip(rk[::2], rk[1::2]):
+            assert (loose.error, loose.total_cost, loose.steps, loose.counts, loose.converged) == (
+                tight.error, tight.total_cost, tight.steps, tight.counts, tight.converged
+            )
 
 
 class TestCsv:

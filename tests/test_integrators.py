@@ -29,10 +29,20 @@ class TestMethodConfig:
             tol = None if m in ("rk2", "rk4") else 1e-6
             MethodConfig(method=m, tau=0.1, tol=tol)
 
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_table_row_decides_backend_and_tol(self, method):
+        _step, backend = METHODS[method]
+        config = MethodConfig(method, 0.1, 1e-6)
+        assert config.backend == backend
+        assert config.tol == (None if backend is None else 1e-6)
+
     def test_backend_property(self):
         assert MethodConfig(method="exprb42-leja", tau=0.1, tol=1e-6).backend == "leja"
         assert MethodConfig(method="exprb-euler-krylov", tau=0.1, tol=1e-6).backend == "krylov"
         assert MethodConfig(method="rk4", tau=0.1).backend is None
+        assert MethodConfig(method="rk2", tau=0.1).backend is None
+        assert MethodConfig(method="exprb42-krylov", tau=0.1, tol=1e-6).backend == "krylov"
+        assert MethodConfig(method="exprb-euler-leja", tau=0.1, tol=1e-6).backend == "leja"
 
     def test_validation(self):
         with pytest.raises(ValueError):

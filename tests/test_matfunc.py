@@ -24,9 +24,7 @@ from expbench.matfunc import (
     hessenberg_phi_e1,
     krylov_phi_action,
     leja_phi_action,
-    load_leja_points,
     phi_linear_combination,
-    save_leja_points,
 )
 from expbench.problems import AdvDiffProblem, NavierStokesProblem, advdiff_kappa
 
@@ -186,12 +184,6 @@ class TestLejaPoints:
         pts = np.asarray(seq.points)
         assert np.all(pts >= -2.0) and np.all(pts <= 2.0)
         assert len(set(seq.points)) == len(seq.points)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        seq = generate_leja_points(16)
-        path = tmp_path / "points.txt"
-        save_leja_points(seq, path)
-        assert load_leja_points(path) == seq
 
     def test_validation(self):
         with pytest.raises(ValueError):
