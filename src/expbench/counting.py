@@ -11,6 +11,11 @@ a desktop, zeta = 10 as a representative supercomputer value).
 Small dense work (Hessenberg matrix functions, divided differences) is
 deliberately NOT counted: only state-vector-sized memory traffic enters
 the model, dense m-by-m work is assumed cache resident.
+
+``record(primitive, k, times)`` records ``times`` identical events in one
+call; a loop that performs the same primitive many times (the Gram-Schmidt
+passes of Arnoldi, the terms of a Newton series) records them in bulk.  The
+tally is the same as ``times`` single records.
 """
 
 from __future__ import annotations
@@ -109,16 +114,23 @@ class OpCounter:
     events: dict = field(default_factory=dict)
     lincomb_weight: int = 0  # sum of (k + 1) over all lincomb events
 
-    def record(self, primitive: str, k: int | None = None) -> None:
-        if primitive not in self.table.primitives:
+    def record(self, primitive: str, k: int | None = None, times: int = 1) -> None:
+        """Record ``times`` events of ``primitive`` (``k`` vectors for lincomb).
+
+        Equivalent to ``times`` single records; ``times = 0`` records nothing.
+        """
+        if primitive not in _PRIMITIVES[self.table.table_id]:
             raise CountingError(
                 f"primitive {primitive!r} is not part of table {self.table.table_id!r}"
             )
+        if times < 0:
+            raise CountingError("times must be non-negative")
         if primitive == "lincomb":
             if k is None or k < 1:
                 raise CountingError("lincomb requires k >= 1")
-            self.lincomb_weight += k + 1
-        self.events[primitive] = self.events.get(primitive, 0) + 1
+            self.lincomb_weight += times * (k + 1)
+        if times:
+            self.events[primitive] = self.events.get(primitive, 0) + times
 
     def count(self, primitive: str) -> int:
         return self.events.get(primitive, 0)
@@ -160,8 +172,8 @@ def active_counter() -> OpCounter | None:
     return _ACTIVE.get()
 
 
-def record(primitive: str, k: int | None = None) -> None:
-    """Record an event on the active counter, if any."""
+def record(primitive: str, k: int | None = None, times: int = 1) -> None:
+    """Record ``times`` events on the active counter, if any."""
     counter = _ACTIVE.get()
     if counter is not None:
-        counter.record(primitive, k)
+        counter.record(primitive, k, times)

@@ -4,7 +4,9 @@ functions.
 State vectors are plain 1D numpy arrays.  The functions ``dot``, ``norm2``,
 ``scale``, ``lincomb`` and ``copy_vector`` record their memory cost on the
 active :class:`~expbench.counting.OpCounter`; all algorithms in this package
-route state-vector-sized arithmetic through them.
+route state-vector-sized arithmetic through them, except the inner loops of
+Arnoldi and of the Leja Newton series in ``matfunc``, which run the same
+arithmetic inline and record the same events in bulk.
 
 The dense matrix exponential evaluates the small Hessenberg and divided-
 difference matrices inside the evaluators; the dense phi functions act as

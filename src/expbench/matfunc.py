@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counting import record
 from .linalg import (
     SpectralBounds,
     copy_vector,
     dense_expm,
-    dot,
     lincomb,
     norm2,
     scale,
@@ -94,22 +94,35 @@ class PhiActionResult:
 
 @dataclass
 class KrylovState:
-    """Arnoldi basis and Hessenberg matrix after m completed steps."""
+    """Arnoldi basis and Hessenberg matrix after m completed steps.
 
-    V: list
+    ``basis`` is preallocated with m_max + 1 rows; row i holds basis vector
+    i once it is appended and is left untouched until then.
+    """
+
+    basis: np.ndarray
     H: np.ndarray
     beta: float
     m: int
     m_max: int = DEFAULT_M_MAX
     invariant: bool = False
 
+    @property
+    def V(self) -> np.ndarray:
+        """The appended basis vectors as rows: m of them after breakdown,
+        m + 1 otherwise."""
+        return self.basis[: self.m if self.invariant else self.m + 1]
+
 
 def arnoldi_start(v, m_max: int = DEFAULT_M_MAX) -> KrylovState:
     beta = norm2(v)
     if beta == 0.0:
         raise ValueError("cannot start Arnoldi from the zero vector")
+    v0 = scale(1.0 / beta, v)
+    basis = np.empty((m_max + 1, v0.size))
+    basis[0] = v0
     return KrylovState(
-        V=[scale(1.0 / beta, v)],
+        basis=basis,
         H=np.zeros((m_max + 1, m_max)),
         beta=beta,
         m=0,
@@ -123,24 +136,38 @@ def arnoldi_extend(applyA, state: KrylovState) -> KrylovState:
     Uses modified Gram-Schmidt with one unconditional reorthogonalization
     pass.  On breakdown (new vector norm below 1e-14 * beta) the subspace
     is marked invariant and no vector is appended.
+
+    The new vector is written to row m + 1 of the preallocated
+    ``state.basis``.  Each pass runs the arithmetic of ``dot`` and
+    ``lincomb([1.0, -h_ij], [w, v_i])`` inline, in the same float order, on
+    one copy of the operator's result, and records its j + 1 inner products
+    and j + 1 two-term linear combinations in bulk.
     """
     if state.invariant:
         raise SubspaceCapError("subspace is invariant, cannot extend")
     if state.m >= state.m_max:
         raise SubspaceCapError(f"Krylov dimension cap {state.m_max} reached")
     j = state.m
-    w = applyA(state.V[j])
+    V, H = state.basis, state.H
+    # the copy keeps the in-place updates off an array the operator returned
+    # as is (its own input, a row of the basis, for the identity)
+    w = np.array(applyA(V[j]), dtype=float)
+    if w.shape != V[j].shape:
+        raise ValueError(f"length mismatch: {V[j].shape} vs {w.shape}")
     for _pass in range(2):
         for i in range(j + 1):
-            hij = dot(state.V[i], w)
-            state.H[i, j] += hij
-            w = lincomb([1.0, -hij], [w, state.V[i]])
+            vi = V[i]
+            hij = float(np.dot(vi, w))
+            H[i, j] += hij
+            w += (-hij) * vi
+        record("dot", times=j + 1)
+        record("lincomb", k=2, times=j + 1)
     hnext = norm2(w)
-    state.H[j + 1, j] = hnext
+    H[j + 1, j] = hnext
     if hnext <= _BREAKDOWN_FACTOR * state.beta:
         state.invariant = True
     else:
-        state.V.append(scale(1.0 / hnext, w))
+        V[j + 1] = scale(1.0 / hnext, w)
     state.m = j + 1
     return state
 
@@ -154,7 +181,7 @@ def hessenberg_phi_e1(Hm, q: int) -> np.ndarray:
     aug[:m, :m] = Hm
     aug[0, m] = 1.0
     aug[m : m + q - 1, m + 1 :] = np.eye(q - 1)
-    return dense_expm(aug)[:m, np.r_[0, m : m + q]]
+    return dense_expm(aug)[:m, [0, *range(m, m + q)]]
 
 
 def _krylov_arnoldi(applyA, x, t, tol_abs, p, m_max):
@@ -325,8 +352,16 @@ def _leja_newton(applyA, x, t, tol_abs, p, c, gamma, points):
             block = min(2 * block, len(xi))
             dd = _cached_shifted_dd(xi[:block], c, gamma, t, p)
         shift = c + gamma * xi[j - 1]
-        r = lincomb([1.0 / gamma, -shift / gamma], [applyA(r), r])
-        y = lincomb([1.0, dd[j]], [y, r])
+        Ar = np.asarray(applyA(r), dtype=float)
+        if Ar.shape != r.shape:
+            raise ValueError(f"length mismatch: {r.shape} vs {Ar.shape}")
+        record("lincomb", k=2, times=2)
+        # lincomb([1/gamma, -shift/gamma], [Ar, r]) and lincomb([1, dd_j], [y, r])
+        # in lincomb's float order; y is this function's own array
+        r_next = (1.0 / gamma) * Ar
+        r_next += (-shift / gamma) * r
+        r = r_next
+        y += dd[j] * r
         rnorm = norm2(r)
         est = abs(dd[j]) * rnorm
         if not math.isfinite(est) or rnorm > guard:

@@ -1,5 +1,6 @@
 import pytest
 
+from expbench import counting
 from expbench.counting import (
     ADVDIFF_1D,
     NAVIER_STOKES_2D,
@@ -100,6 +101,51 @@ class TestOpCounter:
         c.record("lincomb", k=5)
         assert c.lincomb_weight == 3 + 6
         assert c.total_cost() == (3 + 6) * 10
+
+
+class TestBulkRecord:
+    def test_times_equals_repeated_single_records(self):
+        bulk, single = fresh_counter(n=7), fresh_counter(n=7)
+        bulk.record("dot", times=5)
+        for _ in range(5):
+            single.record("dot")
+        assert bulk.events == single.events == {"dot": 5}
+        for zeta in (1.0, 10.0):
+            assert bulk.total_cost(zeta) == single.total_cost(zeta)
+
+    def test_lincomb_weight_scales_with_times(self):
+        c = fresh_counter()
+        c.record("lincomb", k=2, times=3)
+        assert c.lincomb_weight == 9
+        assert c.count("lincomb") == 3
+
+    def test_zero_times_records_nothing(self):
+        c = fresh_counter()
+        c.record("dot", times=0)
+        c.record("lincomb", k=2, times=0)
+        assert c.events == {}
+        assert c.lincomb_weight == 0
+
+    def test_invalid_bulk_records_rejected(self):
+        c = fresh_counter()
+        with pytest.raises(CountingError):
+            c.record("dot", times=-1)
+        with pytest.raises(CountingError):
+            c.record("jacvec", times=2)
+        assert c.events == {}
+        assert c.lincomb_weight == 0
+
+    def test_module_record_passes_times_through(self):
+        c = fresh_counter()
+        with use_counter(c):
+            counting.record("lincomb", k=3, times=2)
+            counting.record("dot", times=4)
+        assert c.events == {"lincomb": 2, "dot": 4}
+        assert c.lincomb_weight == 8
+
+    def test_module_record_without_counter_is_noop(self):
+        assert counting.active_counter() is None
+        counting.record("dot", times=3)
 
 
 class TestActiveCounter:

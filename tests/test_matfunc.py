@@ -9,8 +9,13 @@ from expbench import matfunc
 from expbench.counting import ADVDIFF_1D
 from expbench.linalg import (
     build_advdiff_operator,
+    copy_vector,
     dense_phi,
+    dot,
     gershgorin_bounds,
+    lincomb,
+    norm2,
+    scale,
 )
 from expbench.matfunc import (
     KrylovState,
@@ -92,6 +97,145 @@ class TestArnoldi:
         arnoldi_extend(lambda w: np.array([w[1], -w[0]]), state)
         with pytest.raises(Exception):
             arnoldi_extend(lambda w: np.array([w[1], -w[0]]), state)
+
+
+def reference_arnoldi(applyA, v, m_max, steps):
+    """The Arnoldi loop on a list basis, every operation through the counted
+    primitives, one record per call: (V, H, m, invariant)."""
+    beta = norm2(v)
+    V = [scale(1.0 / beta, v)]
+    H = np.zeros((m_max + 1, m_max))
+    m, invariant = 0, False
+    while m < min(steps, m_max) and not invariant:
+        j = m
+        w = applyA(V[j])
+        for _pass in range(2):
+            for i in range(j + 1):
+                hij = dot(V[i], w)
+                H[i, j] += hij
+                w = lincomb([1.0, -hij], [w, V[i]])
+        hnext = norm2(w)
+        H[j + 1, j] = hnext
+        if hnext <= 1e-14 * beta:
+            invariant = True
+        else:
+            V.append(scale(1.0 / hnext, w))
+        m = j + 1
+    return V, H, m, invariant
+
+
+@st.composite
+def arnoldi_cases(draw):
+    """(operator, start vector, m_max, steps): random dense operators, the
+    identity (breakdown at step 1) and the reversal, which returns a view of
+    its input (breakdown at step 2)."""
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["dense", "identity", "reverse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n))
+    ops = {"dense": lambda w: A @ w, "identity": lambda w: w, "reverse": lambda w: w[::-1]}
+    steps = draw(st.integers(1, min(n, 30)))
+    m_max = draw(st.integers(1, steps + 2))
+    return ops[kind], rng.standard_normal(n), m_max, steps
+
+
+class TestArnoldiMatchesCountedPrimitives:
+    @settings(max_examples=80, deadline=None)
+    @given(case=arnoldi_cases())
+    def test_bit_identical_basis_hessenberg_and_counts(self, case):
+        applyA, v, m_max, steps = case
+        ref_counter, fast_counter = fresh_counter(n=v.size), fresh_counter(n=v.size)
+        with use_counter(ref_counter):
+            V, H, m, invariant = reference_arnoldi(applyA, v, m_max, steps)
+        with use_counter(fast_counter):
+            state = arnoldi_start(v, m_max=m_max)
+            while state.m < min(steps, m_max) and not state.invariant:
+                arnoldi_extend(applyA, state)
+        assert (state.m, state.invariant) == (m, invariant)
+        assert np.array_equal(state.H, H)
+        assert len(state.V) == len(V)
+        for fast, ref in zip(state.V, V):
+            assert np.array_equal(fast, ref)
+        assert fast_counter.events == ref_counter.events
+        assert fast_counter.lincomb_weight == ref_counter.lincomb_weight
+
+    def test_operator_of_wrong_length_rejected_before_counting(self):
+        counter = fresh_counter(n=3)
+        state = arnoldi_start(np.ones(3))
+        with use_counter(counter):
+            with pytest.raises(ValueError):
+                arnoldi_extend(lambda w: np.ones(4), state)
+        assert counter.events == {}
+
+
+def reference_leja_newton(applyA, x, t, tol_abs, p, c, gamma, points):
+    """The Newton loop of matfunc._leja_newton through the counted
+    primitives: (y, applies, estimate), or the applies of _NotConverged."""
+    xi = tuple(points)
+    block = min(matfunc._DD_BLOCK, len(xi))
+    dd = matfunc._cached_shifted_dd(xi[:block], c, gamma, t, p)
+    r = copy_vector(x)
+    y = scale(dd[0], r)
+    guard = 1e8 * max(1.0, float(np.linalg.norm(x)))
+    prev_small = False
+    for j in range(1, len(xi)):
+        if j == block:
+            block = min(2 * block, len(xi))
+            dd = matfunc._cached_shifted_dd(xi[:block], c, gamma, t, p)
+        shift = c + gamma * xi[j - 1]
+        r = lincomb([1.0 / gamma, -shift / gamma], [applyA(r), r])
+        y = lincomb([1.0, dd[j]], [y, r])
+        rnorm = norm2(r)
+        est = abs(dd[j]) * rnorm
+        if not math.isfinite(est) or rnorm > guard:
+            return j
+        small = est <= tol_abs
+        if small and prev_small and j >= 2:
+            return y, j, est
+        prev_small = small
+    return len(xi) - 1
+
+
+class TestLejaNewtonMatchesCountedPrimitives:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        kappa=st.sampled_from([1.0 / 80.0, 1.0 / 2560.0]),
+        t=st.sampled_from([1e-3, 1e-2, 0.1, 1.0]),
+        tol=st.sampled_from([1e-2, 1e-6, 1e-10]),
+        p=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_result_and_counts(self, n, kappa, t, tol, p, seed):
+        pb = advdiff(n, kappa)
+        c, gamma = matfunc._leja_interval(pb.spectral_bounds())
+        x = np.random.default_rng(seed).standard_normal(n)
+        points = default_leja_sequence().points
+        ref_counter, fast_counter = fresh_counter(n=n), fresh_counter(n=n)
+        with use_counter(ref_counter):
+            ref = reference_leja_newton(pb.rhs, x, t, tol, p, c, gamma, points)
+        with use_counter(fast_counter):
+            try:
+                fast = matfunc._leja_newton(pb.rhs, x, t, tol, p, c, gamma, points)
+            except matfunc._NotConverged as exc:
+                fast = exc.applies
+        if isinstance(ref, tuple):
+            assert np.array_equal(fast[0], ref[0])
+            assert fast[1:] == ref[1:]
+        else:
+            assert fast == ref
+        assert fast_counter.events == ref_counter.events
+        assert fast_counter.lincomb_weight == ref_counter.lincomb_weight
+
+    def test_operator_of_wrong_length_rejected_before_lincomb(self):
+        counter = fresh_counter(n=3)
+        with use_counter(counter):
+            with pytest.raises(ValueError):
+                matfunc._leja_newton(
+                    lambda w: np.ones(4), np.ones(3), 0.1, 1e-8, 0, -1.0, 1.0,
+                    default_leja_sequence().points,
+                )
+        assert counter.count("lincomb") == 0
 
 
 class TestKrylovPhiAction:
