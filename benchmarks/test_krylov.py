@@ -54,7 +54,7 @@ def test_arnoldi_ns_frozen_jacobian(benchmark, ns_jacobian):
 
 
 def test_leja_newton_advdiff(benchmark, advdiff):
-    c, gamma = matfunc._leja_interval(advdiff.spectral_bounds())
+    c, gamma = matfunc._leja_interval(advdiff.linearize().bounds)
     points = default_leja_sequence().points
     x = advdiff.initial_state()
     y, applies, _est = benchmark(

@@ -109,8 +109,6 @@ def selftest() -> int:
     """Check both evaluators against the dense oracle on small operators."""
     rng = np.random.default_rng(7)
     failures = 0
-    from .linalg import gershgorin_bounds
-
     for n in (16, 32):
         for kappa in (1.0 / 80.0, 1.0 / 2560.0):
             problem = AdvDiffProblem(n, advdiff_kappa(("const", kappa)))
@@ -123,7 +121,7 @@ def selftest() -> int:
                     for backend in ("krylov", "leja"):
                         req = PhiActionRequest(
                             p=p, tau=tau, v=v, tol=1e-12,
-                            bounds=gershgorin_bounds(problem.operator),
+                            bounds=problem.linearize().bounds,
                         )
                         fn = krylov_phi_action if backend == "krylov" else leja_phi_action
                         res = fn(lambda w, pb=problem: pb.rhs(w), req)

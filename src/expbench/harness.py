@@ -165,7 +165,7 @@ def _run_cell(problem, config, u0, t_end, reference):
     err = error_norm(result.final_state, reference)
     if not math.isfinite(err) or err > 1.0:
         # stable arithmetic but no meaningful accuracy: flag as not converged
-        return (err if math.isfinite(err) else math.inf), result.counter, result.steps_taken, err <= 1.0
+        return (err if math.isfinite(err) else math.inf), result.counter, result.steps_taken, False
     return err, result.counter, result.steps_taken, True
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counting import OpCounter, use_counter
-from .linalg import copy_vector, lincomb, scale
+from .linalg import copy_vector, lincomb, norm2, scale
 from .problems import NonPositiveDensityError
 from .matfunc import (
     PhiActionRequest,
@@ -110,16 +110,16 @@ def rk4_step(problem, u, tau: float) -> np.ndarray:
     )
 
 
-def _linearize(problem, u, backend):
-    """Jacobian action frozen at ``u`` and, for Leja, its spectral bounds."""
-    return problem.linearize(u), problem.spectral_bounds(u) if backend == "leja" else None
+def _bounds(J, backend):
+    """The Leja backend's spectral bounds of J; Krylov never computes them."""
+    return J.bounds if backend == "leja" else None
 
 
-def _phi_action(applyJ, bounds, p, tau, v, tol, backend) -> PhiActionResult:
-    req = PhiActionRequest(p=p, tau=tau, v=v, tol=tol, bounds=bounds)
+def _phi_action(J, p, tau, v, tol, backend) -> PhiActionResult:
+    req = PhiActionRequest(p=p, tau=tau, v=v, tol=tol, bounds=_bounds(J, backend))
     if backend == "krylov":
-        return krylov_phi_action(applyJ, req)
-    return leja_phi_action(applyJ, req)
+        return krylov_phi_action(J, req)
+    return leja_phi_action(J, req)
 
 
 def _require_converged(res: PhiActionResult, context: str) -> PhiActionResult:
@@ -136,8 +136,6 @@ _PHI_SAFETY = 0.1
 def _step_scale(u) -> float:
     """Reference magnitude for converting the prescribed tolerance into the
     absolute phi-evaluation accuracy of one step."""
-    from .linalg import norm2
-
     unorm = norm2(u)
     return unorm if unorm > 0.0 else 1.0
 
@@ -150,10 +148,8 @@ def exprb_euler_step(problem, u, tau: float, tol: float, backend: str, stats=Non
     """
     f = problem.rhs(u)
     tol_phi = _PHI_SAFETY * tol * _step_scale(u) / tau
-    applyJ, bounds = _linearize(problem, u, backend)
-    res = _require_converged(
-        _phi_action(applyJ, bounds, 1, tau, f, tol_phi, backend), "exponential Euler step"
-    )
+    J = problem.linearize(u)
+    res = _require_converged(_phi_action(J, 1, tau, f, tol_phi, backend), "exponential Euler step")
     if stats is not None:
         stats.append(res)
     return lincomb([1.0, tau], [u, res.y])
@@ -170,20 +166,20 @@ def exprb42_step(problem, u, tau: float, tol: float, backend: str, stats=None) -
     """
     f = problem.rhs(u)
     tol_abs = _PHI_SAFETY * tol * _step_scale(u)
-    applyJ, bounds = _linearize(problem, u, backend)
+    J = problem.linearize(u)
     stage = _require_converged(
-        _phi_action(applyJ, bounds, 1, 0.75 * tau, f, tol_abs / (0.75 * tau), backend),
+        _phi_action(J, 1, 0.75 * tau, f, tol_abs / (0.75 * tau), backend),
         "exprb42 stage",
     )
     U2 = lincomb([1.0, 0.75 * tau], [u, stage.y])
     f2 = problem.rhs(U2)
     dU = lincomb([1.0, -1.0], [U2, u])
-    jdU = applyJ(dU)
+    jdU = J(dU)
     # g(U2) - g(u) with g(w) = F(w) - J u w
     gdiff = lincomb([1.0, -1.0, -1.0], [f2, f, jdU])
     w3 = scale(32.0 / (9.0 * tau**2), gdiff)
     combo = _require_converged(
-        phi_linear_combination(applyJ, tau, [(1, f), (3, w3)], tol_abs, bounds, backend),
+        phi_linear_combination(J, tau, [(1, f), (3, w3)], tol_abs, _bounds(J, backend), backend),
         "exprb42 update",
     )
     if stats is not None:

@@ -230,10 +230,6 @@ def krylov_phi_action(applyA, req: PhiActionRequest, m_max: int = DEFAULT_M_MAX)
 class LejaSequence:
     points: tuple
 
-    @property
-    def count(self) -> int:
-        return len(self.points)
-
 
 def generate_leja_points(count: int = DEFAULT_LEJA_COUNT, grid_resolution: int | None = None) -> LejaSequence:
     """Greedy (fast-Leja-style) point selection on a candidate grid over [-2, 2].
@@ -384,8 +380,6 @@ def leja_phi_action(
     tol; halves the substep (doubling the substep count, uniform
     over [0, tau]) and restarts on failure.
     """
-    if req.bounds is None:
-        raise ValueError("leja_phi_action requires spectral bounds")
     return _phi_engine(
         applyA, req.tau, [(req.p, req.v)], req.tol, req.bounds, "leja", DEFAULT_M_MAX, points,
         single=True,
@@ -519,4 +513,6 @@ def phi_linear_combination(
         raise ValueError(f"unknown backend {backend!r}")
     if tau <= 0:
         raise ValueError("tau must be positive")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     return _phi_engine(applyJ, tau, terms, tol, bounds, backend, m_max, points, single=False)

@@ -9,16 +9,17 @@
   copies, in the floating-point order of the shifted-copy formulas.
 
 Both expose the interface the integrators expect: ``rhs``, ``linearize``,
-``jac_action``, ``spectral_bounds``, ``dimension``, ``cost_table``.
-``linearize(u)`` returns the Jacobian action ``w -> J(u) w`` frozen at
-``u``, so its state-dependent terms are computed once per step; each call
-of the action records one counted Jacobian event and ``jac_action(u, w)``
-is ``linearize(u)(w)``.
+``initial_state``, ``dimension``, ``cost_table``.  ``linearize(u)`` returns
+a ``Linearization``: calling it applies the Jacobian frozen at ``u`` (one
+counted Jacobian event per call, its state-dependent terms computed once),
+and its ``bounds`` are the Gershgorin box of that Jacobian, computed on
+first access and never counted.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,26 @@ from .linalg import (
 
 class NonPositiveDensityError(RuntimeError):
     """Density lost positivity; the run is unstable and must be reported."""
+
+
+class Linearization:
+    """The Jacobian frozen at a state.
+
+    ``J(w)`` applies it; ``J.bounds`` is its Gershgorin ``SpectralBounds``,
+    computed by the ``bounds`` thunk on first access and kept, so a step
+    that never reads them never pays for them.
+    """
+
+    def __init__(self, apply, bounds):
+        self._apply = apply
+        self._bounds = bounds
+
+    def __call__(self, w) -> np.ndarray:
+        return self._apply(w)
+
+    @cached_property
+    def bounds(self) -> SpectralBounds:
+        return self._bounds()
 
 
 # ---------------------------------------------------------------------------
@@ -58,15 +79,14 @@ def advdiff_kappa(profile):
 class AdvDiffProblem:
     """u_t = kappa(x) u_xx - u_x on (0,1), Dirichlet, u0 = x(1-x)."""
 
-    cost_table_id = ADVDIFF_1D
-
     def __init__(self, n: int, kappa_fn):
         self.n = n
         self.operator: StencilOperator1D = build_advdiff_operator(n, kappa_fn)
         self.h = self.operator.h
         x = (np.arange(n) + 1) * self.h
         self._u0 = x * (1.0 - x)
-        self._bounds = gershgorin_bounds(self.operator)
+        bounds = gershgorin_bounds(self.operator)
+        self._jacobian = Linearization(lambda w: apply_operator(self.operator, w), lambda: bounds)
 
     @property
     def dimension(self) -> int:
@@ -78,15 +98,9 @@ class AdvDiffProblem:
     def rhs(self, u) -> np.ndarray:
         return apply_operator(self.operator, u)
 
-    def linearize(self, u=None):
-        """The Jacobian action w -> A w; A does not depend on the state."""
-        return lambda w: apply_operator(self.operator, w)
-
-    def jac_action(self, u, w) -> np.ndarray:
-        return self.linearize(u)(w)
-
-    def spectral_bounds(self, u=None) -> SpectralBounds:
-        return self._bounds
+    def linearize(self, u=None) -> Linearization:
+        """w -> A w with its bounds; A does not depend on the state."""
+        return self._jacobian
 
     def cost_table(self) -> CostTable:
         return CostTable(ADVDIFF_1D, self.n)
@@ -186,12 +200,14 @@ def ns_rhs(state, n: int, nu: float) -> np.ndarray:
     return _join(f1, f2, f3)
 
 
-def ns_linearize(state, n: int, nu: float):
-    """The Jacobian action w -> J(U) w, frozen at ``state``.
+def ns_linearize(state, n: int, nu: float) -> Linearization:
+    """The Jacobian J(U) frozen at ``state``, as a ``Linearization``.
 
     The state-dependent terms (the gradients of rho, u and v, and rho^2)
-    are computed once here; each call of the returned action records one
-    counted jacvec event (21N), linearizing records none.
+    are computed once here; each apply records one counted jacvec event
+    (21N), linearizing records none.  The Gershgorin bounds reuse the same
+    terms, assembled per grid point from the block-row stencil
+    coefficients as absolute row sums across all three blocks.
     """
     # a copy, so the action stays frozen if the caller reuses its array
     rho, u, v = _split(np.array(state, dtype=float), n)
@@ -232,7 +248,28 @@ def ns_linearize(state, n: int, nu: float):
         )
         return _join(r1, r2, r3)
 
-    return apply
+    def bounds():
+        inv2h = 1.0 / (2.0 * h)
+        nu4h2 = 4.0 * nu / h**2
+        au, av, arho = np.abs(u), np.abs(v), np.abs(rho)
+        d1 = np.zeros_like(rho)
+        r1 = (
+            _pair_x(np.add, au) + _pair_y(np.add, av) + _pair_x(np.add, arho) + _pair_y(np.add, arho)
+        ) * inv2h
+        irh, auh, avh = 1.0 / (rho * h), au / h, av / h
+        d2 = -dxu - nu4h2
+        r2 = np.abs(dxr) / rho2 + irh + auh + avh + np.abs(dyu) + nu4h2
+        d3 = -dyv - nu4h2
+        r3 = np.abs(dyr) / rho2 + irh + avh + auh + np.abs(dxv) + nu4h2
+        d = _join(d1, d2, d3)
+        r = _join(r1, r2, r3)
+        return SpectralBounds(
+            real_min=float(np.min(d - r)),
+            real_max=float(np.max(d + r)),
+            imag_halfwidth=float(np.max(r)),
+        )
+
+    return Linearization(apply, bounds)
 
 
 def ns_jacobian_action(state, w, n: int, nu: float) -> np.ndarray:
@@ -241,46 +278,8 @@ def ns_jacobian_action(state, w, n: int, nu: float) -> np.ndarray:
 
 
 def ns_spectral_bounds(state, n: int, nu: float) -> SpectralBounds:
-    """Gershgorin bounding box of the Jacobian at ``state``.
-
-    Assembled per grid point from the block-row stencil coefficients,
-    taking absolute row sums across all three blocks.
-    """
-    rho, u, v = _split(state, n)
-    h = 1.0 / n
-    inv2h = 1.0 / (2.0 * h)
-    nu4h2 = 4.0 * nu / h**2
-
-    au, av, arho = np.abs(u), np.abs(v), np.abs(rho)
-    d1 = np.zeros_like(rho)
-    r1 = (
-        _pair_x(np.add, au) + _pair_y(np.add, av) + _pair_x(np.add, arho) + _pair_y(np.add, arho)
-    ) * inv2h
-    d2 = -_dx(u, h) - nu4h2
-    r2 = (
-        np.abs(_dx(rho, h)) / rho**2
-        + 1.0 / (rho * h)
-        + au / h
-        + av / h
-        + np.abs(_dy(u, h))
-        + nu4h2
-    )
-    d3 = -_dy(v, h) - nu4h2
-    r3 = (
-        np.abs(_dy(rho, h)) / rho**2
-        + 1.0 / (rho * h)
-        + av / h
-        + au / h
-        + np.abs(_dx(v, h))
-        + nu4h2
-    )
-    d = np.concatenate([d1.ravel(), d2.ravel(), d3.ravel()])
-    r = np.concatenate([r1.ravel(), r2.ravel(), r3.ravel()])
-    return SpectralBounds(
-        real_min=float(np.min(d - r)),
-        real_max=float(np.max(d + r)),
-        imag_halfwidth=float(np.max(r)),
-    )
+    """Gershgorin bounding box of the Jacobian at ``state``."""
+    return ns_linearize(state, n, nu).bounds
 
 
 def shear_flow_init(n: int, v0: float = 0.1, d: float = 1.0 / 30.0, delta: float = 5e-3) -> np.ndarray:
@@ -311,14 +310,11 @@ def vorticity(state, n: int) -> np.ndarray:
 class NavierStokesProblem:
     """2D compressible isothermal Navier-Stokes, periodic, state length 3 n^2."""
 
-    cost_table_id = NAVIER_STOKES_2D
-
     def __init__(self, n: int, nu: float):
         if n < 4:
             raise ValueError("need at least 4 grid points per axis")
         self.n = n
         self.N = n * n
-        self.h = 1.0 / n
         self.nu = float(nu)
 
     @property
@@ -331,14 +327,8 @@ class NavierStokesProblem:
     def rhs(self, state) -> np.ndarray:
         return ns_rhs(state, self.n, self.nu)
 
-    def linearize(self, state):
+    def linearize(self, state) -> Linearization:
         return ns_linearize(state, self.n, self.nu)
-
-    def jac_action(self, state, w) -> np.ndarray:
-        return self.linearize(state)(w)
-
-    def spectral_bounds(self, state) -> SpectralBounds:
-        return ns_spectral_bounds(state, self.n, self.nu)
 
     def cost_table(self) -> CostTable:
         return CostTable(NAVIER_STOKES_2D, self.N)

@@ -3,15 +3,21 @@
 import numpy as np
 
 from expbench.counting import ADVDIFF_1D, CostTable, OpCounter, use_counter
-from expbench.linalg import SpectralBounds, gershgorin_bounds
+from expbench.linalg import gershgorin_bounds
+from expbench.problems import Linearization
 
 
 class DenseLinearProblem:
-    """Minimal problem wrapper around a fixed dense matrix: u' = M u."""
+    """Minimal problem wrapper around a fixed dense matrix: u' = M u.
+
+    ``bounds_computed`` counts the evaluations of the linearization's
+    bounds thunk.
+    """
 
     def __init__(self, M):
         self.M = np.asarray(M, dtype=float)
         self.n = self.M.shape[0]
+        self.bounds_computed = 0
 
     @property
     def dimension(self):
@@ -20,14 +26,12 @@ class DenseLinearProblem:
     def rhs(self, u):
         return self.M @ np.asarray(u, dtype=float)
 
-    def linearize(self, u=None):
-        return lambda w: self.M @ np.asarray(w, dtype=float)
+    def linearize(self, u=None) -> Linearization:
+        def bounds():
+            self.bounds_computed += 1
+            return gershgorin_bounds(self.M)
 
-    def jac_action(self, u, w):
-        return self.linearize(u)(w)
-
-    def spectral_bounds(self, u=None) -> SpectralBounds:
-        return gershgorin_bounds(self.M)
+        return Linearization(lambda w: self.M @ np.asarray(w, dtype=float), bounds)
 
     def cost_table(self) -> CostTable:
         return CostTable(ADVDIFF_1D, self.n)

@@ -115,6 +115,19 @@ class TestExponentialSteps:
         assert np.allclose(u1, u, atol=1e-12)
 
 
+class TestLinearizationBounds:
+    @pytest.mark.parametrize(
+        "method", ["exprb-euler-krylov", "exprb42-krylov", "exprb-euler-leja", "exprb42-leja"]
+    )
+    def test_bounds_computed_once_per_leja_step_and_never_for_krylov(self, method):
+        M = np.diag([-1.0, -2.0, -3.0, -4.0]) + 0.1 * np.eye(4, k=1)
+        pb = DenseLinearProblem(M)
+        config = MethodConfig(method=method, tau=0.1, tol=1e-8)
+        res = integrate(pb, config, np.ones(4), 0.2)
+        assert res.steps_taken == 2
+        assert pb.bounds_computed == (2 if config.backend == "leja" else 0)
+
+
 class TestIntegrate:
     def test_t_end_equal_tau_is_one_step(self):
         pb = AdvDiffProblem(16, advdiff_kappa(("const", 1.0 / 80.0)))
@@ -181,6 +194,7 @@ class TestJacobianLinearity:
         u = rng.standard_normal(24)
         w1 = rng.standard_normal(24)
         w2 = rng.standard_normal(24)
-        lhs = pb.jac_action(u, 2.0 * w1 - 3.0 * w2)
-        rhs = 2.0 * pb.jac_action(u, w1) - 3.0 * pb.jac_action(u, w2)
+        J = pb.linearize(u)
+        lhs = J(2.0 * w1 - 3.0 * w2)
+        rhs = 2.0 * J(w1) - 3.0 * J(w2)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))

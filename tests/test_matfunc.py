@@ -208,7 +208,7 @@ class TestLejaNewtonMatchesCountedPrimitives:
     )
     def test_bit_identical_result_and_counts(self, n, kappa, t, tol, p, seed):
         pb = advdiff(n, kappa)
-        c, gamma = matfunc._leja_interval(pb.spectral_bounds())
+        c, gamma = matfunc._leja_interval(pb.linearize().bounds)
         x = np.random.default_rng(seed).standard_normal(n)
         points = default_leja_sequence().points
         ref_counter, fast_counter = fresh_counter(n=n), fresh_counter(n=n)
@@ -463,7 +463,7 @@ class TestLejaPhiAction:
         v = np.linspace(1.0, 2.0, 10)
         res = leja_phi_action(
             lambda w: np.zeros_like(w),
-            PhiActionRequest(p=1, tau=0.3, v=v, tol=1e-10, bounds=pb.spectral_bounds()),
+            PhiActionRequest(p=1, tau=0.3, v=v, tol=1e-10, bounds=pb.linearize().bounds),
         )
         assert res.converged
         assert np.linalg.norm(res.y - v) <= 1e-9
@@ -477,7 +477,7 @@ class TestLejaPhiAction:
         tau = 0.25
         res = leja_phi_action(
             lambda w: pb.rhs(w),
-            PhiActionRequest(p=p, tau=tau, v=v, tol=1e-12, bounds=pb.spectral_bounds()),
+            PhiActionRequest(p=p, tau=tau, v=v, tol=1e-12, bounds=pb.linearize().bounds),
         )
         oracle = dense_phi(tau * dense, p) @ v
         assert res.converged
@@ -489,7 +489,7 @@ class TestLejaPhiAction:
         tol = 1e-9
         res = leja_phi_action(
             lambda w: pb.rhs(w),
-            PhiActionRequest(p=1, tau=0.2, v=v, tol=tol, bounds=pb.spectral_bounds()),
+            PhiActionRequest(p=1, tau=0.2, v=v, tol=tol, bounds=pb.linearize().bounds),
         )
         assert res.converged
         assert res.final_estimate <= tol
@@ -504,7 +504,7 @@ class TestLejaPhiAction:
         def run(tol):
             return leja_phi_action(
                 lambda w: pb.rhs(w),
-                PhiActionRequest(p=1, tau=0.02, v=v, tol=tol, bounds=pb.spectral_bounds()),
+                PhiActionRequest(p=1, tau=0.02, v=v, tol=tol, bounds=pb.linearize().bounds),
             )
 
         matfunc._DD_CACHE.clear()
@@ -524,7 +524,7 @@ class TestLejaPhiAction:
         with use_counter(c):
             res = leja_phi_action(
                 lambda w: pb.rhs(w),
-                PhiActionRequest(p=1, tau=0.1, v=v, tol=1e-10, bounds=pb.spectral_bounds()),
+                PhiActionRequest(p=1, tau=0.1, v=v, tol=1e-10, bounds=pb.linearize().bounds),
             )
         assert res.converged
         assert res.iterations == c.count("matvec")
@@ -535,7 +535,7 @@ class TestLejaPhiAction:
         with use_counter(c):
             res = leja_phi_action(
                 lambda w: pb.rhs(w),
-                PhiActionRequest(p=1, tau=tau, v=v, tol=tol, bounds=pb.spectral_bounds()),
+                PhiActionRequest(p=1, tau=tau, v=v, tol=tol, bounds=pb.linearize().bounds),
             )
         assert res.converged and res.substeps > 1
         assert res.iterations == c.count("matvec")
@@ -551,7 +551,7 @@ class TestLejaPhiAction:
             res = leja_phi_action(
                 lambda w: pb.rhs(w),
                 PhiActionRequest(
-                    p=1, tau=0.1, v=np.ones(30), tol=1e-10, bounds=pb.spectral_bounds()
+                    p=1, tau=0.1, v=np.ones(30), tol=1e-10, bounds=pb.linearize().bounds
                 ),
                 points=points,
             )
@@ -574,7 +574,7 @@ class TestPhiLinearCombination:
                 tau,
                 [(1, w)],
                 1e-12,
-                bounds=pb.spectral_bounds(),
+                bounds=pb.linearize().bounds,
                 backend=backend,
             )
             assert res.converged
@@ -588,7 +588,7 @@ class TestPhiLinearCombination:
             0.5,
             [(1, np.zeros(10)), (3, np.zeros(10))],
             1e-10,
-            bounds=pb.spectral_bounds(),
+            bounds=pb.linearize().bounds,
             backend="krylov",
         )
         assert res.converged
@@ -620,7 +620,7 @@ class TestPhiLinearCombination:
             tau,
             [(1, w1), (3, w3)],
             1e-11,
-            bounds=pb.spectral_bounds(),
+            bounds=pb.linearize().bounds,
             backend=backend,
         )
         assert res.converged
@@ -636,7 +636,7 @@ class TestPhiLinearCombination:
                 tau,
                 [(1, v), (3, np.sin(np.arange(pb.n)))],
                 tol,
-                bounds=pb.spectral_bounds(),
+                bounds=pb.linearize().bounds,
                 backend=backend,
             )
         assert res.converged and res.substeps > 1
@@ -657,6 +657,18 @@ class TestPhiLinearCombination:
         with pytest.raises(ValueError):
             phi_linear_combination(pb.rhs, 0.5, [(1, np.ones(6))], 1e-8, backend="leja")
 
+    @pytest.mark.parametrize("backend", ["krylov", "leja"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_nonpositive_tol_raises_before_any_work(self, backend, tol):
+        pb = advdiff(49)
+        c = fresh_counter(ADVDIFF_1D, pb.n)
+        with use_counter(c), pytest.raises(ValueError, match="tol must be positive"):
+            phi_linear_combination(
+                lambda w: pb.rhs(w), 0.5, [(1, pb.initial_state())], tol,
+                bounds=pb.linearize().bounds, backend=backend,
+            )
+        assert c.events == {}
+
 
 class TestSubstepping:
     def test_stiff_step_falls_back_to_substeps_and_stays_accurate(self):
@@ -668,7 +680,7 @@ class TestSubstepping:
         oracle = dense_phi(tau * dense, 1) @ v
         for backend, kwargs in (
             ("krylov", {}),
-            ("leja", {"bounds": pb.spectral_bounds()}),
+            ("leja", {"bounds": pb.linearize().bounds}),
         ):
             req = PhiActionRequest(p=1, tau=tau, v=v, tol=1e-8, **kwargs)
             fn = krylov_phi_action if backend == "krylov" else leja_phi_action
@@ -681,7 +693,7 @@ class TestSubstepping:
         # only its real interval and substeps through the augmented operator
         ns = NavierStokesProblem(8, 1e-6)
         u = ns.initial_state()
-        applyJ = lambda w: ns.jac_action(u, w)
+        applyJ = ns.linearize(u)
         J = dense_from_action(applyJ, ns.dimension)
         v = ns.rhs(u)
         tol = 1e-10
@@ -690,7 +702,7 @@ class TestSubstepping:
                 oracle = dense_phi(tau * J, p) @ v
                 for fn, bounds in (
                     (krylov_phi_action, None),
-                    (leja_phi_action, ns.spectral_bounds(u)),
+                    (leja_phi_action, applyJ.bounds),
                 ):
                     res = fn(applyJ, PhiActionRequest(p=p, tau=tau, v=v, tol=tol, bounds=bounds))
                     assert res.converged
