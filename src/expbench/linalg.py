@@ -11,10 +11,25 @@ arithmetic inline and record the same events in bulk.
 The dense matrix exponential evaluates the small Hessenberg and divided-
 difference matrices inside the evaluators; the dense phi functions act as
 an independent oracle for the iterative evaluators in the tests.
+
+``dense_expm`` is the only caller of ``scipy.linalg.expm`` in the package,
+and it always runs on one BLAS thread.  At the sizes used here (up to a
+few hundred rows) a second thread only adds synchronization, and the
+thread count changes the rounding of the result.  So the results do not
+depend on ``OPENBLAS_NUM_THREADS``.  ``dense_expm`` sets the thread count
+of both OpenBLAS builds that take part (numpy's, which runs the squarings,
+and scipy's, which runs the Pade step) to 1 and restores the previous
+counts afterwards.  Their ``openblas_set_num_threads_local`` setters are
+process-wide despite the name, so a lock keeps concurrent calls from
+restoring each other's setting.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,8 +197,29 @@ def gershgorin_bounds(op) -> SpectralBounds:
 # dense matrix functions
 
 
+def _blas_thread_setters() -> tuple:
+    """``openblas_set_num_threads_local`` of the OpenBLAS bundled with numpy
+    and of the one bundled with scipy; each sets the thread count and
+    returns the previous one."""
+    setters = []
+    for pkg in (np, scipy):
+        libdir = os.path.join(os.path.dirname(pkg.__file__), os.pardir, pkg.__name__ + ".libs")
+        for lib in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+            setter = getattr(ctypes.CDLL(lib), "openblas_set_num_threads_local", None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = ctypes.c_int
+                setters.append(setter)
+    return tuple(setters)
+
+
+_BLAS_THREAD_SETTERS = _blas_thread_setters()
+_BLAS_THREAD_LOCK = threading.Lock()
+
+
 def dense_expm(M, max_dim: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring (Pade approximant)."""
+    """Matrix exponential via scaling-and-squaring (Pade approximant), on
+    one BLAS thread."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("dense_expm requires a square matrix")
@@ -191,7 +227,13 @@ def dense_expm(M, max_dim: int = DEFAULT_DENSE_CAP) -> np.ndarray:
         raise ValueError(f"matrix dimension {M.shape[0]} exceeds cap {max_dim}")
     if M.shape[0] == 0:
         return np.zeros((0, 0))
-    return scipy.linalg.expm(M)
+    with _BLAS_THREAD_LOCK:
+        saved = [setter(1) for setter in _BLAS_THREAD_SETTERS]
+        try:
+            return scipy.linalg.expm(M)
+        finally:
+            for setter, n in zip(_BLAS_THREAD_SETTERS, saved):
+                setter(n)
 
 
 def dense_phi(M, p: int, max_dim: int = DEFAULT_DENSE_CAP) -> np.ndarray:
@@ -216,5 +258,5 @@ def dense_phi(M, p: int, max_dim: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     eye = np.eye(n)
     for k in range(p):
         aug[k * n : (k + 1) * n, (k + 1) * n : (k + 2) * n] = eye
-    E = scipy.linalg.expm(aug)
+    E = dense_expm(aug, max_dim=(p + 1) * max_dim)
     return E[:n, p * n : (p + 1) * n]

@@ -412,11 +412,21 @@ class _AugmentedOperator:
         return x
 
     def __call__(self, x):
-        top = self.applyA(x[: self.dim])
-        top = lincomb([1.0] + [x[self.dim + i] for i in range(self.q)], [top] + self.columns)
-        bot = np.zeros(self.q)
-        bot[:-1] = x[self.dim + 1 :]
-        return np.concatenate([top, bot])
+        """[A x_top + sum_i x_bot[i] W[:, i]; K x_bot], with the top block
+        computed as ``lincomb([1, x_bot...], [A x_top, W...])`` would, in
+        its float order, and recorded as that one lincomb."""
+        dim = self.dim
+        top = np.asarray(self.applyA(x[:dim]), dtype=float)
+        if top.shape != (dim,):
+            raise ValueError("length mismatch in lincomb")
+        record("lincomb", k=self.q + 1)
+        out = np.empty(dim + self.q)
+        np.multiply(1.0, top, out=out[:dim])
+        for i, col in enumerate(self.columns):
+            out[:dim] += x[dim + i] * col
+        out[dim:-1] = x[dim + 1 :]
+        out[-1] = 0.0
+        return out
 
     def inflated_bounds(self, bounds: SpectralBounds) -> SpectralBounds:
         """Gershgorin bounds of the augmented operator from those of A."""

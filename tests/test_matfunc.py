@@ -238,6 +238,51 @@ class TestLejaNewtonMatchesCountedPrimitives:
         assert counter.count("lincomb") == 0
 
 
+def reference_augmented_apply(op, x):
+    """_AugmentedOperator.__call__ through the counted lincomb."""
+    top = op.applyA(x[: op.dim])
+    top = lincomb([1.0] + [x[op.dim + i] for i in range(op.q)], [top] + op.columns)
+    bot = np.zeros(op.q)
+    bot[:-1] = x[op.dim + 1 :]
+    return np.concatenate([top, bot])
+
+
+class TestAugmentedOperatorMatchesLincomb:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(1, 40),
+        ps=st.sets(st.integers(1, 3), min_size=1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_result_and_counts(self, dim, ps, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((dim, dim))
+
+        def wide(size):
+            # magnitudes over 16 decades, so that the summation order shows
+            return rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
+
+        terms = [(p, wide(dim)) for p in sorted(ps)]
+        op = matfunc._AugmentedOperator(lambda w: A @ w, dim, terms)
+        x = wide(dim + op.q)
+        ref_counter, fast_counter = fresh_counter(n=dim), fresh_counter(n=dim)
+        with use_counter(ref_counter):
+            ref = reference_augmented_apply(op, x)
+        with use_counter(fast_counter):
+            fast = op(x)
+        assert np.array_equal(fast, ref)
+        assert fast_counter.events == ref_counter.events
+        assert fast_counter.lincomb_weight == ref_counter.lincomb_weight
+
+    def test_operator_of_wrong_length_rejected_before_counting(self):
+        counter = fresh_counter(n=3)
+        op = matfunc._AugmentedOperator(lambda w: np.ones(4), 3, [(1, np.ones(3))])
+        with use_counter(counter):
+            with pytest.raises(ValueError):
+                op(op.start_vector())
+        assert counter.events == {}
+
+
 class TestKrylovPhiAction:
     def test_zero_operator_phi1_is_identity(self):
         v = np.array([1.0, -2.0, 0.5])

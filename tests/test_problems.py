@@ -119,6 +119,15 @@ def perturbed_shear_flow(n, seed):
     return shear_flow_init(n) + 0.05 * rng.standard_normal(3 * n * n)
 
 
+def lopsided_velocity_state(n):
+    """|u| ~ 1e-4 and |v| ~ 10: the Gershgorin rows add |u|/h and |v|/h of
+    such different size that their order shows in the extreme row's sum."""
+    rng = np.random.default_rng(0)
+    N = n * n
+    rho = 1.0 + 0.05 * rng.standard_normal(N)
+    return np.concatenate([rho, 1e-4 * rng.standard_normal(N), 10.0 * rng.standard_normal(N)])
+
+
 class TestKappaProfiles:
     def test_mixed_midpoint_value(self):
         k = advdiff_kappa("mixed")
@@ -159,8 +168,8 @@ class TestPeriodicStencils:
     @pytest.mark.parametrize("n", [4, 5, 40])
     def test_spectral_bounds_match_roll_formulas_bitwise(self, n):
         nu = 1e-3
-        for seed in (0, 1):
-            state = perturbed_shear_flow(n, seed)
+        states = (perturbed_shear_flow(n, 0), perturbed_shear_flow(n, 1), lopsided_velocity_state(n))
+        for state in states:
             b = ns_spectral_bounds(state, n, nu)
             reference = roll_spectral_bounds(state, n, nu)
             assert (b.real_min, b.real_max, b.imag_halfwidth) == reference
