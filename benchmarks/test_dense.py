@@ -47,7 +47,7 @@ def test_hessenberg_phi_e1(benchmark, advdiff, m):
 @pytest.mark.parametrize("count", [32, 128])
 def test_divided_differences_exp(benchmark, advdiff, count):
     c, gamma = matfunc._leja_interval(advdiff.linearize().bounds)
-    points = np.asarray(default_leja_sequence().points[:count]) + c / gamma
+    points = np.asarray(default_leja_sequence()[:count]) + c / gamma
     dd = benchmark(divided_differences_exp, points, TAU * gamma, 1)
     assert dd.shape == (count,)
     assert np.all(np.isfinite(dd))

@@ -55,7 +55,7 @@ def test_arnoldi_ns_frozen_jacobian(benchmark, ns_jacobian):
 
 def test_leja_newton_advdiff(benchmark, advdiff):
     c, gamma = matfunc._leja_interval(advdiff.linearize().bounds)
-    points = default_leja_sequence().points
+    points = default_leja_sequence()
     x = advdiff.initial_state()
     y, applies, _est = benchmark(
         matfunc._leja_newton, advdiff.rhs, x, 0.05, 1e-7, 1, c, gamma, points

@@ -24,7 +24,7 @@ from .harness import (
 )
 from .integrators import METHODS, IntegrationError, MethodConfig, integrate
 from .linalg import dense_phi
-from .matfunc import PhiActionRequest, krylov_phi_action, leja_phi_action
+from .matfunc import krylov_phi_action, leja_phi_action
 from .problems import AdvDiffProblem, advdiff_kappa
 
 
@@ -118,13 +118,12 @@ def selftest() -> int:
                 for p in (0, 1, 3):
                     oracle = dense_phi(tau * dense, p) @ v
                     scale_ref = float(np.linalg.norm(oracle))
-                    for backend in ("krylov", "leja"):
-                        req = PhiActionRequest(
-                            p=p, tau=tau, v=v, tol=1e-12,
-                            bounds=problem.linearize().bounds,
-                        )
-                        fn = krylov_phi_action if backend == "krylov" else leja_phi_action
-                        res = fn(lambda w, pb=problem: pb.rhs(w), req)
+                    for backend, res in (
+                        ("krylov", krylov_phi_action(problem.rhs, p, tau, v, 1e-12)),
+                        ("leja", leja_phi_action(
+                            problem.rhs, p, tau, v, 1e-12, problem.linearize().bounds
+                        )),
+                    ):
                         err = float(np.linalg.norm(res.y - oracle)) / scale_ref
                         ok = res.converged and err <= 1e-10
                         status = "pass" if ok else "FAIL"

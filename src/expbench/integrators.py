@@ -22,7 +22,6 @@ from .counting import OpCounter, use_counter
 from .linalg import copy_vector, lincomb, norm2, scale
 from .problems import NonPositiveDensityError
 from .matfunc import (
-    PhiActionRequest,
     PhiActionResult,
     krylov_phi_action,
     leja_phi_action,
@@ -116,10 +115,9 @@ def _bounds(J, backend):
 
 
 def _phi_action(J, p, tau, v, tol, backend) -> PhiActionResult:
-    req = PhiActionRequest(p=p, tau=tau, v=v, tol=tol, bounds=_bounds(J, backend))
     if backend == "krylov":
-        return krylov_phi_action(J, req)
-    return leja_phi_action(J, req)
+        return krylov_phi_action(J, p, tau, v, tol)
+    return leja_phi_action(J, p, tau, v, tol, J.bounds)
 
 
 def _require_converged(res: PhiActionResult, context: str) -> PhiActionResult:

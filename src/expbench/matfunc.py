@@ -11,10 +11,19 @@ block of points that doubles only when the evaluation runs past it).  Each
 evaluation returns its result, the number of operator applications and its
 last error estimate, or raises _NotConverged with the applications spent.
 
-One substep loop serves the three entry points.  A single phi_p action is
-first tried as one evaluation on A; when that does not converge within its
-budget, the loop chains s equal exponential substeps, s = 2, 4, ... up to a
-cap of 1024, of A (p = 0) or of the augmented operator
+The three entry points take plain arguments:
+
+    krylov_phi_action(applyA, p, tau, v, tol)
+    leja_phi_action(applyA, p, tau, v, tol, bounds)
+    phi_linear_combination(applyJ, tau, terms, tol, bounds, backend)
+
+with ``tol`` an absolute 2-norm accuracy and ``bounds`` the operator's
+SpectralBounds (Leja only).  One substep loop serves all three and checks
+their arguments before any counted work.  A single phi_p action is first
+tried as one evaluation on A; when that does not converge within its budget
+(Krylov dimension DEFAULT_M_MAX, the DEFAULT_LEJA_COUNT points of
+default_leja_sequence()), the loop chains s equal exponential substeps,
+s = 2, 4, ... up to a cap of 1024, of A (p = 0) or of the augmented operator
 
     [[A, W], [0, K]]
 
@@ -22,10 +31,17 @@ whose top block, applied to a padded start vector, yields
 sum_p tau^p phi_p(tau A) w_p.  The phi-linear-combination needed by the
 fourth-order integrator is the same chain from s = 1.  The iteration count
 of a result sums the applications of every evaluation, failed ones included.
+
+The Leja points are generated once per process (functools.cache), and the
+shifted divided differences of the last 64 distinct (nodes, interval, t, p)
+keys are kept in a functools.lru_cache.  An entry depends only on its key,
+so the cache changes wall time, never results, and both caches are safe to
+share between threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,25 +74,6 @@ class _NotConverged(Exception):
     def __init__(self, applies: int):
         super().__init__(applies)
         self.applies = applies
-
-
-@dataclass
-class PhiActionRequest:
-    """Parameters of a single phi-action evaluation."""
-
-    p: int
-    tau: float
-    v: np.ndarray
-    tol: float  # absolute accuracy in the 2-norm
-    bounds: SpectralBounds | None = None
-
-    def __post_init__(self):
-        if self.p not in (0, 1, 2, 3):
-            raise ValueError(f"unsupported phi index {self.p}")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -184,16 +181,16 @@ def hessenberg_phi_e1(Hm, q: int) -> np.ndarray:
     return dense_expm(aug)[:m, [0, *range(m, m + q)]]
 
 
-def _krylov_arnoldi(applyA, x, t, tol_abs, p, m_max):
+def _krylov_arnoldi(applyA, x, t, tol_abs, p):
     """One Arnoldi evaluation of phi_p(t A) x (p = 0 gives exp) with the
     stopping rule of krylov_phi_action.
 
     Returns (y, applies, last_estimate); raises _NotConverged at the
-    dimension cap.
+    dimension cap DEFAULT_M_MAX.
     """
     if float(np.linalg.norm(x)) == 0.0:
         return x.copy(), 0, 0.0
-    state = arnoldi_start(x, m_max=m_max)
+    state = arnoldi_start(x)
     q = max(p, 1)
     while True:
         arnoldi_extend(applyA, state)
@@ -205,34 +202,28 @@ def _krylov_arnoldi(applyA, x, t, tol_abs, p, m_max):
             err = state.beta * t * abs(state.H[m, m - 1]) * abs(cols[m - 1, q])
         if err <= tol_abs or state.invariant:
             return lincomb(list(state.beta * cols[:, p]), state.V[:m]), m, err
-        if m >= m_max:
+        if m >= state.m_max:
             raise _NotConverged(m)
 
 
-def krylov_phi_action(applyA, req: PhiActionRequest, m_max: int = DEFAULT_M_MAX) -> PhiActionResult:
-    """y ~ phi_p(tau A) v by Arnoldi iteration.
+def krylov_phi_action(applyA, p: int, tau: float, v, tol: float) -> PhiActionResult:
+    """y ~ phi_p(tau A) v by Arnoldi iteration, to absolute accuracy tol.
 
     Terminates on the generalized residual estimate
     err_m = beta * tau * h_{m+1,m} * |e_m^T phi_q(tau H_m) e_1| <= tol with
     q = max(p, 1), checked after every extension.  Falls back to substepped,
     chained evaluation when the dimension cap is hit.
     """
-    return _phi_engine(
-        applyA, req.tau, [(req.p, req.v)], req.tol, None, "krylov", m_max, None, single=True
-    )
+    return _phi_engine(applyA, tau, [(p, v)], tol, None, "krylov", single=True)
 
 
 # ---------------------------------------------------------------------------
 # Leja points and divided differences
 
 
-@dataclass(frozen=True)
-class LejaSequence:
-    points: tuple
-
-
-def generate_leja_points(count: int = DEFAULT_LEJA_COUNT, grid_resolution: int | None = None) -> LejaSequence:
-    """Greedy (fast-Leja-style) point selection on a candidate grid over [-2, 2].
+def generate_leja_points(count: int = DEFAULT_LEJA_COUNT) -> tuple:
+    """Greedy (fast-Leja-style) point selection on a candidate grid of
+    max(10 * count, 10000) points over [-2, 2].
 
     The first three points are fixed to 2, -2, 0; each further point
     maximizes the product of distances to all previous points, computed in
@@ -240,11 +231,7 @@ def generate_leja_points(count: int = DEFAULT_LEJA_COUNT, grid_resolution: int |
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if grid_resolution is None:
-        grid_resolution = max(10 * count, 10000)
-    if grid_resolution < 10 * count:
-        raise ValueError("grid_resolution must be at least 10 * count")
-    grid = np.linspace(-2.0, 2.0, grid_resolution)
+    grid = np.linspace(-2.0, 2.0, max(10 * count, 10000))
     points = [2.0, -2.0, 0.0][:count]
     logprod = np.zeros_like(grid)
     with np.errstate(divide="ignore"):
@@ -256,7 +243,7 @@ def generate_leja_points(count: int = DEFAULT_LEJA_COUNT, grid_resolution: int |
         points.append(p)
         with np.errstate(divide="ignore"):
             logprod += np.log(np.abs(grid - p))
-    return LejaSequence(points=tuple(points))
+    return tuple(points)
 
 
 def divided_differences_exp(points, scaling: float, p: int = 0) -> np.ndarray:
@@ -283,37 +270,25 @@ def divided_differences_exp(points, scaling: float, p: int = 0) -> np.ndarray:
     return dense_expm(Z)[p:, 0].copy()
 
 
-_DD_CACHE: dict = {}
-_DD_CACHE_LIMIT = 64
 _DD_BLOCK = 32  # leading Leja points whose coefficients are computed first
 
 
+@functools.lru_cache(maxsize=64)
 def _cached_shifted_dd(xi: tuple, c: float, gamma: float, t: float, p: int) -> np.ndarray:
     """Divided differences of theta -> phi_p(t (c + gamma theta)) on xi.
 
     These are the Newton coefficients matching the scaled recurrence
     r_{j+1} = (A - (c + gamma xi_j) I) r_j / gamma.  The key holds the
-    nodes themselves, so an entry depends on nothing but its key.
+    nodes themselves, so an entry depends on nothing but its key.  Callers
+    share the returned array and must not modify it.
     """
-    key = (p, t, c, gamma, xi)
-    hit = _DD_CACHE.get(key)
-    if hit is None:
-        if len(_DD_CACHE) >= _DD_CACHE_LIMIT:
-            _DD_CACHE.clear()
-        pts = np.asarray(xi) + c / gamma
-        hit = divided_differences_exp(pts, t * gamma, p)
-        _DD_CACHE[key] = hit
-    return hit
+    return divided_differences_exp(np.asarray(xi) + c / gamma, t * gamma, p)
 
 
-_DEFAULT_LEJA: LejaSequence | None = None
-
-
-def default_leja_sequence() -> LejaSequence:
-    global _DEFAULT_LEJA
-    if _DEFAULT_LEJA is None:
-        _DEFAULT_LEJA = generate_leja_points(DEFAULT_LEJA_COUNT)
-    return _DEFAULT_LEJA
+@functools.cache
+def default_leja_sequence() -> tuple:
+    """The DEFAULT_LEJA_COUNT Leja points of every Leja evaluation."""
+    return generate_leja_points(DEFAULT_LEJA_COUNT)
 
 
 def _leja_interval(bounds: SpectralBounds):
@@ -370,20 +345,16 @@ def _leja_newton(applyA, x, t, tol_abs, p, c, gamma, points):
 
 
 def leja_phi_action(
-    applyA,
-    req: PhiActionRequest,
-    points: LejaSequence | None = None,
+    applyA, p: int, tau: float, v, tol: float, bounds: SpectralBounds
 ) -> PhiActionResult:
-    """y ~ phi_p(tau A) v by Newton interpolation on scaled Leja points.
+    """y ~ phi_p(tau A) v by Newton interpolation on Leja points scaled to
+    ``bounds``.
 
     Terminates when the L2 norms of two consecutive Newton terms are below
     tol; halves the substep (doubling the substep count, uniform
     over [0, tau]) and restarts on failure.
     """
-    return _phi_engine(
-        applyA, req.tau, [(req.p, req.v)], req.tol, req.bounds, "leja", DEFAULT_M_MAX, points,
-        single=True,
-    )
+    return _phi_engine(applyA, tau, [(p, v)], tol, bounds, "leja", single=True)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +410,7 @@ class _AugmentedOperator:
         )
 
 
-def _phi_engine(applyA, tau, terms, tol, bounds, backend, m_max, points, single):
+def _phi_engine(applyA, tau, terms, tol, bounds, backend, single):
     """sum_p tau^p phi_p(tau A) w_p over ``terms`` by the substep loop.
 
     The loop chains s equal exponential substeps of the augmented operator,
@@ -448,21 +419,34 @@ def _phi_engine(applyA, tau, terms, tol, bounds, backend, m_max, points, single)
     then the chain (of A itself when p = 0) from s = 2.  Its final tau^-p
     rescaling amplifies absolute errors, so the chained tolerance is
     tightened to tol * min(tau, 1)^p.
+
+    Every argument is checked here, before any counted work.
     """
+    ps = [p for p, _w in terms]
+    if not ps:
+        raise ValueError("terms must be non-empty")
+    if any(p not in ((0, 1, 2, 3) if single else (1, 2, 3)) for p in ps):
+        raise ValueError(f"unsupported phi indices {ps}")
+    if len(set(ps)) != len(ps):
+        raise ValueError("phi indices must be distinct")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if backend not in ("krylov", "leja"):
+        raise ValueError(f"unknown backend {backend!r}")
     if backend == "leja" and bounds is None:
         raise ValueError("leja backend requires spectral bounds")
     terms = [(p, np.asarray(w, dtype=float)) for p, w in terms]
     dim = terms[0][1].size
     if max(float(np.linalg.norm(w)) for _p, w in terms) == 0.0:
         return PhiActionResult(np.zeros(dim), 0, 1, True, 0.0)
-    if backend == "leja" and points is None:
-        points = default_leja_sequence()
 
     def evaluate(op, x, t, tol_abs, p, op_bounds):
         if backend == "krylov":
-            return _krylov_arnoldi(op, x, t, tol_abs, p, m_max)
+            return _krylov_arnoldi(op, x, t, tol_abs, p)
         c, gamma = _leja_interval(op_bounds)
-        return _leja_newton(op, x, t, tol_abs, p, c, gamma, points.points)
+        return _leja_newton(op, x, t, tol_abs, p, c, gamma, default_leja_sequence())
 
     applies = 0
     s = 1
@@ -499,30 +483,11 @@ def _phi_engine(applyA, tau, terms, tol, bounds, backend, m_max, points, single)
 
 
 def phi_linear_combination(
-    applyJ,
-    tau: float,
-    terms,
-    tol: float,
-    bounds: SpectralBounds | None = None,
-    backend: str = "leja",
-    m_max: int = DEFAULT_M_MAX,
-    points: LejaSequence | None = None,
+    applyJ, tau: float, terms, tol: float, bounds: SpectralBounds | None, backend: str
 ) -> PhiActionResult:
     """sum_p tau^p phi_p(tau J) w_p in one augmented-operator evaluation.
 
-    ``terms`` is a list of (p, w) pairs with distinct p in 1..3.
+    ``terms`` is a list of (p, w) pairs with distinct p in 1..3; ``bounds``
+    may be None for the "krylov" backend.
     """
-    if not terms:
-        raise ValueError("terms must be non-empty")
-    ps = [p for p, _w in terms]
-    if len(set(ps)) != len(ps):
-        raise ValueError("phi indices must be distinct")
-    if any(p not in (1, 2, 3) for p in ps):
-        raise ValueError("phi indices must lie in 1..3")
-    if backend not in ("krylov", "leja"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _phi_engine(applyJ, tau, terms, tol, bounds, backend, m_max, points, single=False)
+    return _phi_engine(applyJ, tau, terms, tol, bounds, backend, single=False)

@@ -15,7 +15,7 @@ from expbench.counting import CostTable, NAVIER_STOKES_2D, OpCounter, use_counte
 from expbench.harness import compute_reference, error_norm
 from expbench.integrators import IntegrationError, MethodConfig, integrate
 from expbench.linalg import dense_expm, dense_phi, gershgorin_bounds
-from expbench.matfunc import PhiActionRequest, krylov_phi_action, leja_phi_action
+from expbench.matfunc import krylov_phi_action, leja_phi_action
 from expbench.problems import (
     AdvDiffProblem,
     NavierStokesProblem,
@@ -59,11 +59,10 @@ def test_criterion_1_oracle_equivalence(capsys):
                 for p in (0, 1, 3):
                     oracle = dense_phi(tau * dense, p) @ v
                     onorm = np.linalg.norm(oracle)
-                    for fn in (krylov_phi_action, leja_phi_action):
-                        req = PhiActionRequest(
-                            p=p, tau=tau, v=v, tol=1e-12, bounds=bounds
-                        )
-                        res = fn(lambda w: problem.rhs(w), req)
+                    for res in (
+                        krylov_phi_action(problem.rhs, p, tau, v, 1e-12),
+                        leja_phi_action(problem.rhs, p, tau, v, 1e-12, bounds),
+                    ):
                         err = np.linalg.norm(res.y - oracle) / onorm
                         if not res.converged:
                             err = math.inf

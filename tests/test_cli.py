@@ -112,3 +112,11 @@ class TestEndToEnd:
         assert "error: density is not positive" in capsys.readouterr().err
         assert all(math.isinf(r.error) for r in read_csv(out))
         assert not (tmp_path / "fields").exists()
+
+
+class TestSelftest:
+    def test_every_oracle_check_passes(self, capsys):
+        assert main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("[pass]") for line in lines) == 48
+        assert lines[-1] == "selftest: PASS"

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,8 +21,6 @@ from expbench.linalg import (
 )
 from expbench.matfunc import (
     KrylovState,
-    LejaSequence,
-    PhiActionRequest,
     arnoldi_extend,
     arnoldi_start,
     default_leja_sequence,
@@ -210,7 +210,7 @@ class TestLejaNewtonMatchesCountedPrimitives:
         pb = advdiff(n, kappa)
         c, gamma = matfunc._leja_interval(pb.linearize().bounds)
         x = np.random.default_rng(seed).standard_normal(n)
-        points = default_leja_sequence().points
+        points = default_leja_sequence()
         ref_counter, fast_counter = fresh_counter(n=n), fresh_counter(n=n)
         with use_counter(ref_counter):
             ref = reference_leja_newton(pb.rhs, x, t, tol, p, c, gamma, points)
@@ -233,7 +233,7 @@ class TestLejaNewtonMatchesCountedPrimitives:
             with pytest.raises(ValueError):
                 matfunc._leja_newton(
                     lambda w: np.ones(4), np.ones(3), 0.1, 1e-8, 0, -1.0, 1.0,
-                    default_leja_sequence().points,
+                    default_leja_sequence(),
                 )
         assert counter.count("lincomb") == 0
 
@@ -286,27 +286,20 @@ class TestAugmentedOperatorMatchesLincomb:
 class TestKrylovPhiAction:
     def test_zero_operator_phi1_is_identity(self):
         v = np.array([1.0, -2.0, 0.5])
-        res = krylov_phi_action(
-            lambda w: np.zeros_like(w),
-            PhiActionRequest(p=1, tau=0.7, v=v, tol=1e-12),
-        )
+        res = krylov_phi_action(lambda w: np.zeros_like(w), 1, 0.7, v, 1e-12)
         assert res.converged
         assert np.allclose(res.y, v, atol=1e-14)
 
     def test_identity_operator_scalar_value(self):
         v = np.array([3.0, 4.0])
-        res = krylov_phi_action(
-            lambda w: w, PhiActionRequest(p=1, tau=0.5, v=v, tol=1e-12)
-        )
+        res = krylov_phi_action(lambda w: w, 1, 0.5, v, 1e-12)
         # phi_1(0.5) = (e^0.5 - 1)/0.5
         factor = (math.exp(0.5) - 1.0) / 0.5
         assert factor == pytest.approx(1.297442541, abs=1e-9)
         assert np.allclose(res.y, factor * v, rtol=1e-12)
 
     def test_zero_vector_short_circuits(self):
-        res = krylov_phi_action(
-            lambda w: w, PhiActionRequest(p=1, tau=0.5, v=np.zeros(4), tol=1e-12)
-        )
+        res = krylov_phi_action(lambda w: w, 1, 0.5, np.zeros(4), 1e-12)
         assert res.converged and res.iterations == 0
         assert np.all(res.y == 0.0)
 
@@ -317,9 +310,7 @@ class TestKrylovPhiAction:
         rng = np.random.default_rng(8)
         v = rng.standard_normal(50)
         tau = 0.25
-        res = krylov_phi_action(
-            lambda w: pb.rhs(w), PhiActionRequest(p=p, tau=tau, v=v, tol=1e-12)
-        )
+        res = krylov_phi_action(lambda w: pb.rhs(w), p, tau, v, 1e-12)
         oracle = dense_phi(tau * dense, p) @ v
         assert res.converged
         assert np.linalg.norm(res.y - oracle) / np.linalg.norm(oracle) <= 1e-10
@@ -329,9 +320,7 @@ class TestKrylovPhiAction:
         v = np.ones(30)
         c = fresh_counter(ADVDIFF_1D, 30)
         with use_counter(c):
-            res = krylov_phi_action(
-                lambda w: pb.rhs(w), PhiActionRequest(p=1, tau=0.1, v=v, tol=1e-10)
-            )
+            res = krylov_phi_action(lambda w: pb.rhs(w), 1, 0.1, v, 1e-10)
         assert res.converged
         assert res.iterations == c.count("matvec")
 
@@ -339,46 +328,47 @@ class TestKrylovPhiAction:
         pb, v, tau, tol = stiff_case()
         c = fresh_counter(ADVDIFF_1D, pb.n)
         with use_counter(c):
-            res = krylov_phi_action(
-                lambda w: pb.rhs(w), PhiActionRequest(p=1, tau=tau, v=v, tol=tol)
-            )
+            res = krylov_phi_action(lambda w: pb.rhs(w), 1, tau, v, tol)
         assert res.converged and res.substeps > 1
         assert res.iterations == c.count("matvec")
         assert (res.iterations, res.substeps, c.events) == STIFF_COUNTS["krylov"]
 
     def test_request_validation(self):
-        with pytest.raises(ValueError):
-            PhiActionRequest(p=5, tau=0.1, v=np.ones(2), tol=1e-8)
-        with pytest.raises(ValueError):
-            PhiActionRequest(p=1, tau=-0.1, v=np.ones(2), tol=1e-8)
-        with pytest.raises(ValueError):
-            PhiActionRequest(p=1, tau=0.1, v=np.ones(2), tol=0.0)
+        # bad input raises before any counted work, in either backend
+        pb = advdiff(6)
+        bounds = pb.linearize().bounds
+        c = fresh_counter(ADVDIFF_1D, pb.n)
+        with use_counter(c):
+            for p, tau, tol in ((5, 0.1, 1e-8), (1, -0.1, 1e-8), (1, 0.0, 1e-8), (1, 0.1, 0.0)):
+                with pytest.raises(ValueError):
+                    krylov_phi_action(pb.rhs, p, tau, np.ones(6), tol)
+                with pytest.raises(ValueError):
+                    leja_phi_action(pb.rhs, p, tau, np.ones(6), tol, bounds)
+        assert c.events == {}
 
 
 class TestLejaPoints:
     def test_first_three_points_fixed(self):
         seq = generate_leja_points(8)
-        assert seq.points[:3] == (2.0, -2.0, 0.0)
+        assert seq[:3] == (2.0, -2.0, 0.0)
 
     def test_fourth_point_maximizes_distance_product(self):
         seq = generate_leja_points(8)
         # maximizer of |x-2| |x+2| |x| on [-2, 2] is +-2/sqrt(3)
-        assert abs(abs(seq.points[3]) - 2.0 / math.sqrt(3.0)) < 1e-3
+        assert abs(abs(seq[3]) - 2.0 / math.sqrt(3.0)) < 1e-3
         grid = np.linspace(-2.0, 2.0, 1_000_001)
         brute = grid[np.argmax(np.abs((grid - 2.0) * (grid + 2.0) * grid))]
-        assert abs(abs(seq.points[3]) - abs(brute)) < 1e-3
+        assert abs(abs(seq[3]) - abs(brute)) < 1e-3
 
     def test_points_in_interval_without_duplicates(self):
         seq = generate_leja_points(64)
-        pts = np.asarray(seq.points)
+        pts = np.asarray(seq)
         assert np.all(pts >= -2.0) and np.all(pts <= 2.0)
-        assert len(set(seq.points)) == len(seq.points)
+        assert len(set(seq)) == len(seq)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_leja_points(0)
-        with pytest.raises(ValueError):
-            generate_leja_points(100, grid_resolution=10)
 
 
 class TestDividedDifferences:
@@ -400,7 +390,7 @@ class TestDividedDifferences:
         assert dd[1] == pytest.approx((math.exp(1.0) - math.exp(-1.0)) / 4.0)
 
     def test_against_naive_recurrence(self):
-        pts = np.asarray(generate_leja_points(8).points)
+        pts = np.asarray(generate_leja_points(8))
         dd = divided_differences_exp(pts, 1.0, p=0)
         naive = np.exp(pts).astype(float)
         for j in range(1, len(pts)):
@@ -416,7 +406,7 @@ class TestDividedDifferences:
     @pytest.mark.parametrize("scaling", [0.5, 5.0, 20.0, 80.0])
     def test_phi_p_matches_block_phi_formula(self, p, scaling):
         # reference: first column of phi_p of the K x K bidiagonal node matrix
-        pts = np.asarray(default_leja_sequence().points[:64])
+        pts = np.asarray(default_leja_sequence()[:64])
         Z = np.diag(scaling * pts)
         idx = np.arange(pts.size - 1)
         Z[idx + 1, idx] = scaling
@@ -428,7 +418,7 @@ class TestDividedDifferences:
     @pytest.mark.parametrize("scaling", [5.0, 80.0])
     def test_phi_p_against_high_precision_recurrence(self, p, scaling):
         mpmath = pytest.importorskip("mpmath")
-        pts = default_leja_sequence().points[:40]
+        pts = default_leja_sequence()[:40]
         with mpmath.workdps(300):
             # p distinct nodes 1e-60 apart stand in for the confluent zeros
             nodes = [mpmath.mpf(10) ** -60 * (i + 1) for i in range(p)]
@@ -450,7 +440,7 @@ class TestDividedDifferences:
     @pytest.mark.parametrize("p", [0, 1, 3])
     @pytest.mark.parametrize("k", [1, 32, 64])
     def test_leading_block_identity(self, p, k):
-        pts = np.asarray(default_leja_sequence().points)
+        pts = np.asarray(default_leja_sequence())
         full = divided_differences_exp(pts, 20.0, p)
         block = divided_differences_exp(pts[:k], 20.0, p)
         assert np.max(np.abs(block - full[:k])) <= 1e-14 * np.max(np.abs(full))
@@ -499,17 +489,12 @@ class TestHessenbergPhi:
 class TestLejaPhiAction:
     def test_requires_bounds(self):
         with pytest.raises(ValueError):
-            leja_phi_action(
-                lambda w: w, PhiActionRequest(p=1, tau=0.1, v=np.ones(2), tol=1e-8)
-            )
+            leja_phi_action(lambda w: w, 1, 0.1, np.ones(2), 1e-8, None)
 
     def test_zero_operator_phi1_is_identity(self):
         pb = advdiff(10)
         v = np.linspace(1.0, 2.0, 10)
-        res = leja_phi_action(
-            lambda w: np.zeros_like(w),
-            PhiActionRequest(p=1, tau=0.3, v=v, tol=1e-10, bounds=pb.linearize().bounds),
-        )
+        res = leja_phi_action(lambda w: np.zeros_like(w), 1, 0.3, v, 1e-10, pb.linearize().bounds)
         assert res.converged
         assert np.linalg.norm(res.y - v) <= 1e-9
 
@@ -520,10 +505,7 @@ class TestLejaPhiAction:
         rng = np.random.default_rng(9)
         v = rng.standard_normal(50)
         tau = 0.25
-        res = leja_phi_action(
-            lambda w: pb.rhs(w),
-            PhiActionRequest(p=p, tau=tau, v=v, tol=1e-12, bounds=pb.linearize().bounds),
-        )
+        res = leja_phi_action(lambda w: pb.rhs(w), p, tau, v, 1e-12, pb.linearize().bounds)
         oracle = dense_phi(tau * dense, p) @ v
         assert res.converged
         assert np.linalg.norm(res.y - oracle) / np.linalg.norm(oracle) <= 1e-10
@@ -532,10 +514,7 @@ class TestLejaPhiAction:
         pb = advdiff(40)
         v = np.ones(40)
         tol = 1e-9
-        res = leja_phi_action(
-            lambda w: pb.rhs(w),
-            PhiActionRequest(p=1, tau=0.2, v=v, tol=tol, bounds=pb.linearize().bounds),
-        )
+        res = leja_phi_action(lambda w: pb.rhs(w), 1, 0.2, v, tol, pb.linearize().bounds)
         assert res.converged
         assert res.final_estimate <= tol
 
@@ -547,14 +526,11 @@ class TestLejaPhiAction:
         v = np.random.default_rng(9).standard_normal(50)
 
         def run(tol):
-            return leja_phi_action(
-                lambda w: pb.rhs(w),
-                PhiActionRequest(p=1, tau=0.02, v=v, tol=tol, bounds=pb.linearize().bounds),
-            )
+            return leja_phi_action(lambda w: pb.rhs(w), 1, 0.02, v, tol, pb.linearize().bounds)
 
-        matfunc._DD_CACHE.clear()
+        matfunc._cached_shifted_dd.cache_clear()
         cold = run(1e-4)
-        matfunc._DD_CACHE.clear()
+        matfunc._cached_shifted_dd.cache_clear()
         longer = run(1e-12)
         warm = run(1e-4)
         assert cold.substeps == longer.substeps == 1
@@ -567,10 +543,7 @@ class TestLejaPhiAction:
         v = np.ones(30)
         c = fresh_counter(ADVDIFF_1D, 30)
         with use_counter(c):
-            res = leja_phi_action(
-                lambda w: pb.rhs(w),
-                PhiActionRequest(p=1, tau=0.1, v=v, tol=1e-10, bounds=pb.linearize().bounds),
-            )
+            res = leja_phi_action(lambda w: pb.rhs(w), 1, 0.1, v, 1e-10, pb.linearize().bounds)
         assert res.converged
         assert res.iterations == c.count("matvec")
 
@@ -578,27 +551,21 @@ class TestLejaPhiAction:
         pb, v, tau, tol = stiff_case()
         c = fresh_counter(ADVDIFF_1D, pb.n)
         with use_counter(c):
-            res = leja_phi_action(
-                lambda w: pb.rhs(w),
-                PhiActionRequest(p=1, tau=tau, v=v, tol=tol, bounds=pb.linearize().bounds),
-            )
+            res = leja_phi_action(lambda w: pb.rhs(w), 1, tau, v, tol, pb.linearize().bounds)
         assert res.converged and res.substeps > 1
         assert res.iterations == c.count("matvec")
         assert (res.iterations, res.substeps, c.events) == STIFF_COUNTS["leja"]
 
-    def test_exhausted_point_budget_counts_its_applies(self):
+    def test_exhausted_point_budget_counts_its_applies(self, monkeypatch):
         # 16 points run out before tol=1e-10 is met, so the evaluation
         # substeps after budget failures rather than diverging terms
         pb = advdiff(30)
-        points = LejaSequence(default_leja_sequence().points[:16])
+        points = default_leja_sequence()[:16]
+        monkeypatch.setattr(matfunc, "default_leja_sequence", lambda: points)
         c = fresh_counter(ADVDIFF_1D, 30)
         with use_counter(c):
             res = leja_phi_action(
-                lambda w: pb.rhs(w),
-                PhiActionRequest(
-                    p=1, tau=0.1, v=np.ones(30), tol=1e-10, bounds=pb.linearize().bounds
-                ),
-                points=points,
+                lambda w: pb.rhs(w), 1, 0.1, np.ones(30), 1e-10, pb.linearize().bounds
             )
         assert res.converged and res.substeps > 1
         assert res.iterations == c.count("matvec")
@@ -610,9 +577,7 @@ class TestPhiLinearCombination:
         rng = np.random.default_rng(11)
         w = rng.standard_normal(24)
         tau = 0.25
-        direct = krylov_phi_action(
-            lambda x: pb.rhs(x), PhiActionRequest(p=1, tau=tau, v=w, tol=1e-12)
-        )
+        direct = krylov_phi_action(lambda x: pb.rhs(x), 1, tau, w, 1e-12)
         for backend in ("krylov", "leja"):
             res = phi_linear_combination(
                 lambda x: pb.rhs(x),
@@ -647,9 +612,7 @@ class TestPhiLinearCombination:
                 bounds=None, backend="leja",
             )
         with pytest.raises(ValueError):
-            leja_phi_action(
-                lambda x: pb.rhs(x), PhiActionRequest(p=1, tau=0.5, v=np.zeros(10), tol=1e-10)
-            )
+            leja_phi_action(lambda x: pb.rhs(x), 1, 0.5, np.zeros(10), 1e-10, None)
 
     @pytest.mark.parametrize("backend", ["krylov", "leja"])
     def test_two_term_combination_against_per_term_oracle(self, backend):
@@ -692,15 +655,15 @@ class TestPhiLinearCombination:
     def test_validation(self):
         pb = advdiff(6)
         with pytest.raises(ValueError):
-            phi_linear_combination(pb.rhs, 0.5, [], 1e-8, backend="krylov")
+            phi_linear_combination(pb.rhs, 0.5, [], 1e-8, None, "krylov")
         with pytest.raises(ValueError):
             phi_linear_combination(
-                pb.rhs, 0.5, [(1, np.ones(6)), (1, np.ones(6))], 1e-8, backend="krylov"
+                pb.rhs, 0.5, [(1, np.ones(6)), (1, np.ones(6))], 1e-8, None, "krylov"
             )
         with pytest.raises(ValueError):
-            phi_linear_combination(pb.rhs, 0.5, [(0, np.ones(6))], 1e-8, backend="krylov")
+            phi_linear_combination(pb.rhs, 0.5, [(0, np.ones(6))], 1e-8, None, "krylov")
         with pytest.raises(ValueError):
-            phi_linear_combination(pb.rhs, 0.5, [(1, np.ones(6))], 1e-8, backend="leja")
+            phi_linear_combination(pb.rhs, 0.5, [(1, np.ones(6))], 1e-8, None, "leja")
 
     @pytest.mark.parametrize("backend", ["krylov", "leja"])
     @pytest.mark.parametrize("tol", [0.0, -1.0])
@@ -723,13 +686,10 @@ class TestSubstepping:
         v = pb.initial_state()
         tau = 1.0
         oracle = dense_phi(tau * dense, 1) @ v
-        for backend, kwargs in (
-            ("krylov", {}),
-            ("leja", {"bounds": pb.linearize().bounds}),
+        for res in (
+            krylov_phi_action(lambda w: pb.rhs(w), 1, tau, v, 1e-8),
+            leja_phi_action(lambda w: pb.rhs(w), 1, tau, v, 1e-8, pb.linearize().bounds),
         ):
-            req = PhiActionRequest(p=1, tau=tau, v=v, tol=1e-8, **kwargs)
-            fn = krylov_phi_action if backend == "krylov" else leja_phi_action
-            res = fn(lambda w: pb.rhs(w), req)
             assert res.converged
             assert np.linalg.norm(res.y - oracle) <= 1e-7
 
@@ -745,10 +705,63 @@ class TestSubstepping:
         for tau in (0.25, 1.0, 4.0):
             for p in (0, 1, 3):
                 oracle = dense_phi(tau * J, p) @ v
-                for fn, bounds in (
-                    (krylov_phi_action, None),
-                    (leja_phi_action, applyJ.bounds),
+                for backend, res in (
+                    ("krylov", krylov_phi_action(applyJ, p, tau, v, tol)),
+                    ("leja", leja_phi_action(applyJ, p, tau, v, tol, applyJ.bounds)),
                 ):
-                    res = fn(applyJ, PhiActionRequest(p=p, tau=tau, v=v, tol=tol, bounds=bounds))
                     assert res.converged
-                    assert np.linalg.norm(res.y - oracle) <= tol, (fn.__name__, tau, p)
+                    assert np.linalg.norm(res.y - oracle) <= tol, (backend, tau, p)
+
+
+class TestCachesUnderThreads:
+    def test_threads_share_both_caches_without_changing_results(self):
+        # 2 operators x 40 step sizes give 80 distinct (tau, bounds) keys, more
+        # than the 64 entries of the divided-difference cache; each thread
+        # starts at a different case, so the threads evict each other's entries
+        problems = [advdiff(20, kappa) for kappa in (1.0 / 80.0, 1.0 / 2560.0)]
+        cases = [(pb, tau) for pb in problems for tau in np.geomspace(0.01, 0.4, 40)]
+        v = np.sin(np.arange(20.0))
+
+        def run(order):
+            counter = fresh_counter(ADVDIFF_1D, 20)
+            results = {}
+            with use_counter(counter):
+                for i in order:
+                    pb, tau = cases[i]
+                    results[i] = leja_phi_action(pb.rhs, 1, tau, v, 1e-8, pb.linearize().bounds)
+            return results, counter.events
+
+        matfunc._cached_shifted_dd.cache_clear()
+        matfunc.default_leja_sequence.cache_clear()
+        serial, serial_events = run(range(len(cases)))
+        matfunc._cached_shifted_dd.cache_clear()
+        matfunc.default_leja_sequence.cache_clear()
+        outputs, errors = [None] * 4, []
+
+        def work(k):
+            try:
+                order = [(i + 20 * k) % len(cases) for i in range(len(cases))]
+                outputs[k] = run(order)
+            except Exception as exc:  # noqa: BLE001  (reported by the assert below)
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        info = matfunc._cached_shifted_dd.cache_info()
+        assert info.misses > info.maxsize == 64
+        for results, events in outputs:
+            assert events == serial_events
+            for i, res in serial.items():
+                assert results[i].converged and res.converged
+                assert results[i].iterations == res.iterations
+                assert np.array_equal(results[i].y, res.y)

@@ -44,3 +44,8 @@ def test_tracer_sees_every_step_and_phi_action():
     assert layers["integrators.integrate.calls"] == 6
     assert layers["integrators.step.calls"] == 12
     assert layers["matfunc.phi_action.calls"] > 0
+    # every phi span gets a backend, which spans._phi_info reads from the
+    # entry point's name or its ``backend`` parameter
+    assert len(tracer.phi) == layers["matfunc.phi_action.calls"]
+    assert layers["matfunc.phi_action.krylov_s"] > 0
+    assert layers["matfunc.phi_action.leja_s"] > 0
