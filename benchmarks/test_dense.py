@@ -5,7 +5,10 @@ Run from the root of a checkout with
     pytest benchmarks --benchmark-only
 
 The tier-1 suite does not collect this directory (``testpaths`` names only
-``tests``).  The inputs are those of the diffusion preset (n = 159,
+``tests``); ``tests/test_benchmarks_smoke.py`` runs it once with
+``--benchmark-disable`` as a smoke test.
+
+The inputs are those of the diffusion preset (n = 159,
 kappa = 1/80, tau = 0.25): the Hessenberg matrix of an Arnoldi run on the
 operator, and the Leja points shifted and scaled to its spectral interval.
 Both kernels are one ``dense_expm``, on one BLAS thread.
@@ -15,9 +18,9 @@ import numpy as np
 import pytest
 
 from expbench import matfunc
+from expbench.linalg import norm2, scale
 from expbench.matfunc import (
     arnoldi_extend,
-    arnoldi_start,
     default_leja_sequence,
     divided_differences_exp,
     hessenberg_phi_e1,
@@ -35,10 +38,14 @@ def advdiff():
 
 @pytest.mark.parametrize("m", [20, 100])
 def test_hessenberg_phi_e1(benchmark, advdiff, m):
-    state = arnoldi_start(advdiff.initial_state())
-    for _ in range(m):
-        arnoldi_extend(advdiff.rhs, state)
-    Hm = TAU * state.H[:m, :m]
+    v = advdiff.initial_state()
+    beta = norm2(v)
+    V = np.empty((m + 1, v.size))
+    V[0] = scale(1.0 / beta, v)
+    H = np.zeros((m + 1, m))
+    for j in range(m):
+        assert arnoldi_extend(advdiff.rhs, V, H, j, beta)
+    Hm = TAU * H[:m, :m]
     cols = benchmark(hessenberg_phi_e1, Hm, 3)
     assert cols.shape == (m, 4)
     assert np.all(np.isfinite(cols))

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .harness import (
+    PRESETS,
     ExperimentSpec,
     build_problem,
     compute_reference,
@@ -77,8 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write rho/u/v/omega grids of the first cell's final state")
 
     pre = sub.add_parser("preset", help="run a named preset")
-    pre.add_argument("--name", choices=("diffusion", "advection", "mixed", "shearflow"),
-                     required=True)
+    pre.add_argument("--name", choices=tuple(PRESETS), required=True)
     pre.add_argument("--out", required=True)
     pre.add_argument("--full", action="store_true",
                      help="full-scale parameters (slow)")

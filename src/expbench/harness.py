@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,6 @@ CSV_HEADER = (
     "matvec,jacvec,rhs,dot,lincomb,scale,fetch,store,converged"
 )
 
-REFERENCE_DENSE_CAP = 512
 REFERENCE_STEP_CAP = 2**20
 
 
@@ -90,7 +89,8 @@ def error_norm(u, ref) -> float:
 def compute_reference(problem, t_end: float, tau_hint: float | None = None) -> np.ndarray:
     """Reference solution at t_end.
 
-    Linear 1D problem: exact dense propagator exp(t_end L) u0 (n <= 512).
+    Linear 1D problem: exact dense propagator exp(t_end L) u0;
+    dense_expm rejects n > 512 with ValueError.
     Navier-Stokes: uncounted RK4 with successively halved step sizes until
     two references differ by less than 1e-10 in relative l2.
     """
@@ -98,8 +98,6 @@ def compute_reference(problem, t_end: float, tau_hint: float | None = None) -> n
     if t_end == 0.0:
         return u0
     if isinstance(problem, AdvDiffProblem):
-        if problem.n > REFERENCE_DENSE_CAP:
-            raise ValueError("dense reference capped at n = 512")
         L = problem.operator.to_dense()
         return dense_expm(t_end * L) @ u0
     tau = (tau_hint if tau_hint is not None else t_end / 64.0) / 16.0
@@ -234,6 +232,38 @@ _EXP_TOLS = (1e-4, 1e-7)
 _ZETAS = (1.0, 10.0)
 
 
+def _tau_grid(tau_max: float, count: int) -> tuple:
+    return tuple(tau_max / 2**m for m in range(count))
+
+
+def _desk(problem, n, taus, **fields) -> ExperimentSpec:
+    return ExperimentSpec(
+        problem=problem, n=n, methods=tuple(METHODS), taus=taus, tols=_EXP_TOLS,
+        zetas=_ZETAS, t_end=1.0, **fields,
+    )
+
+
+# name -> (desk-scale spec, the fields that ``full`` changes)
+PRESETS = {
+    "diffusion": (
+        _desk("advdiff", 159, _tau_grid(0.25, 5), kappa=("const", 1.0 / 80.0)),
+        {"taus": _tau_grid(0.25, 9)},
+    ),
+    "advection": (
+        _desk("advdiff", 159, _tau_grid(0.25, 5), kappa=("const", 1.0 / 2560.0)),
+        {"taus": _tau_grid(0.25, 9)},
+    ),
+    "mixed": (
+        _desk("advdiff", 159, _tau_grid(0.1, 4), kappa="mixed"),
+        {"taus": _tau_grid(0.1, 7)},
+    ),
+    "shearflow": (
+        _desk("ns", 40, _tau_grid(1.0, 8), nu=1e-6),
+        {"n": 160, "t_end": 12.0},
+    ),
+}
+
+
 def preset(name: str, full: bool = False) -> ExperimentSpec:
     """Named experiment presets mirroring the benchmark setups.
 
@@ -241,33 +271,7 @@ def preset(name: str, full: bool = False) -> ExperimentSpec:
     the full-scale parameters (finer tau grids, n = 160 / t_end = 12 for the
     shear flow).
     """
-    if name == "diffusion":
-        taus = _tau_grid(0.25, 9 if full else 5)
-        return ExperimentSpec(
-            problem="advdiff", n=159, kappa=("const", 1.0 / 80.0),
-            methods=tuple(METHODS), taus=taus, tols=_EXP_TOLS, zetas=_ZETAS, t_end=1.0,
-        )
-    if name == "advection":
-        taus = _tau_grid(0.25, 9 if full else 5)
-        return ExperimentSpec(
-            problem="advdiff", n=159, kappa=("const", 1.0 / 2560.0),
-            methods=tuple(METHODS), taus=taus, tols=_EXP_TOLS, zetas=_ZETAS, t_end=1.0,
-        )
-    if name == "mixed":
-        taus = _tau_grid(0.1, 7 if full else 4)
-        return ExperimentSpec(
-            problem="advdiff", n=159, kappa="mixed",
-            methods=tuple(METHODS), taus=taus, tols=_EXP_TOLS, zetas=_ZETAS, t_end=1.0,
-        )
-    if name == "shearflow":
-        taus = _tau_grid(1.0, 8)
-        return ExperimentSpec(
-            problem="ns", n=160 if full else 40, nu=1e-6,
-            methods=tuple(METHODS), taus=taus, tols=_EXP_TOLS, zetas=_ZETAS,
-            t_end=12.0 if full else 1.0,
-        )
-    raise ValueError(f"unknown preset {name!r}")
-
-
-def _tau_grid(tau_max: float, count: int) -> tuple:
-    return tuple(tau_max / 2**m for m in range(count))
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    spec, full_fields = PRESETS[name]
+    return replace(spec, **full_fields) if full else spec

@@ -7,9 +7,11 @@ column-augmented Hessenberg matrix) and Leja interpolation (real Leja points
 on [-2, 2], scaled and shifted to the Gershgorin interval of the operator,
 Newton form with divided differences computed via the matrix method on a
 bidiagonal node matrix, phi_p through p leading zero nodes, for a leading
-block of points that doubles only when the evaluation runs past it).  Each
-evaluation returns its result, the number of operator applications and its
-last error estimate, or raises _NotConverged with the applications spent.
+block of points that doubles only when the evaluation runs past it).  Both
+take (applyA, x, t, tol_abs, p, bounds) and are listed in EVALUATORS by
+backend name.  Each evaluation returns its result, the number of operator
+applications and its last error estimate, or raises _NotConverged with the
+applications spent.
 
 The three entry points take plain arguments:
 
@@ -64,10 +66,6 @@ _BREAKDOWN_FACTOR = 1e-14
 _DIVERGENCE_FACTOR = 1e8
 
 
-class SubspaceCapError(RuntimeError):
-    """Raised when the Krylov basis cannot be extended further."""
-
-
 class _NotConverged(Exception):
     """An evaluation ran out of budget after ``applies`` operator calls."""
 
@@ -89,63 +87,19 @@ class PhiActionResult:
 # Arnoldi / Krylov
 
 
-@dataclass
-class KrylovState:
-    """Arnoldi basis and Hessenberg matrix after m completed steps.
-
-    ``basis`` is preallocated with m_max + 1 rows; row i holds basis vector
-    i once it is appended and is left untouched until then.
-    """
-
-    basis: np.ndarray
-    H: np.ndarray
-    beta: float
-    m: int
-    m_max: int = DEFAULT_M_MAX
-    invariant: bool = False
-
-    @property
-    def V(self) -> np.ndarray:
-        """The appended basis vectors as rows: m of them after breakdown,
-        m + 1 otherwise."""
-        return self.basis[: self.m if self.invariant else self.m + 1]
-
-
-def arnoldi_start(v, m_max: int = DEFAULT_M_MAX) -> KrylovState:
-    beta = norm2(v)
-    if beta == 0.0:
-        raise ValueError("cannot start Arnoldi from the zero vector")
-    v0 = scale(1.0 / beta, v)
-    basis = np.empty((m_max + 1, v0.size))
-    basis[0] = v0
-    return KrylovState(
-        basis=basis,
-        H=np.zeros((m_max + 1, m_max)),
-        beta=beta,
-        m=0,
-        m_max=m_max,
-    )
-
-
-def arnoldi_extend(applyA, state: KrylovState) -> KrylovState:
-    """Append one orthonormal basis vector and one Hessenberg column.
+def arnoldi_extend(applyA, V, H, j: int, beta: float) -> bool:
+    """Append basis row j + 1 of ``V`` and Hessenberg column j of ``H``.
 
     Uses modified Gram-Schmidt with one unconditional reorthogonalization
-    pass.  On breakdown (new vector norm below 1e-14 * beta) the subspace
-    is marked invariant and no vector is appended.
+    pass.  Returns False on breakdown (new vector norm below 1e-14 * beta,
+    with beta the norm of the start vector): the subspace is invariant and
+    no row is appended.
 
-    The new vector is written to row m + 1 of the preallocated
-    ``state.basis``.  Each pass runs the arithmetic of ``dot`` and
-    ``lincomb([1.0, -h_ij], [w, v_i])`` inline, in the same float order, on
-    one copy of the operator's result, and records its j + 1 inner products
-    and j + 1 two-term linear combinations in bulk.
+    Each pass runs the arithmetic of ``dot`` and ``lincomb([1.0, -h_ij],
+    [w, v_i])`` inline, in the same float order, on one copy of the
+    operator's result, and records its j + 1 inner products and j + 1
+    two-term linear combinations in bulk.
     """
-    if state.invariant:
-        raise SubspaceCapError("subspace is invariant, cannot extend")
-    if state.m >= state.m_max:
-        raise SubspaceCapError(f"Krylov dimension cap {state.m_max} reached")
-    j = state.m
-    V, H = state.basis, state.H
     # the copy keeps the in-place updates off an array the operator returned
     # as is (its own input, a row of the basis, for the identity)
     w = np.array(applyA(V[j]), dtype=float)
@@ -161,12 +115,10 @@ def arnoldi_extend(applyA, state: KrylovState) -> KrylovState:
         record("lincomb", k=2, times=j + 1)
     hnext = norm2(w)
     H[j + 1, j] = hnext
-    if hnext <= _BREAKDOWN_FACTOR * state.beta:
-        state.invariant = True
-    else:
-        V[j + 1] = scale(1.0 / hnext, w)
-    state.m = j + 1
-    return state
+    if hnext <= _BREAKDOWN_FACTOR * beta:
+        return False
+    V[j + 1] = scale(1.0 / hnext, w)
+    return True
 
 
 def hessenberg_phi_e1(Hm, q: int) -> np.ndarray:
@@ -181,29 +133,28 @@ def hessenberg_phi_e1(Hm, q: int) -> np.ndarray:
     return dense_expm(aug)[:m, [0, *range(m, m + q)]]
 
 
-def _krylov_arnoldi(applyA, x, t, tol_abs, p):
+def _krylov_arnoldi(applyA, x, t, tol_abs, p, bounds):
     """One Arnoldi evaluation of phi_p(t A) x (p = 0 gives exp) with the
-    stopping rule of krylov_phi_action.
+    stopping rule of krylov_phi_action; ``bounds`` is not used.
 
     Returns (y, applies, last_estimate); raises _NotConverged at the
     dimension cap DEFAULT_M_MAX.
     """
     if float(np.linalg.norm(x)) == 0.0:
         return x.copy(), 0, 0.0
-    state = arnoldi_start(x)
+    beta = norm2(x)
+    V = np.empty((DEFAULT_M_MAX + 1, x.size))
+    V[0] = scale(1.0 / beta, x)
+    H = np.zeros((DEFAULT_M_MAX + 1, DEFAULT_M_MAX))
     q = max(p, 1)
-    while True:
-        arnoldi_extend(applyA, state)
-        m = state.m
-        cols = hessenberg_phi_e1(t * state.H[:m, :m], q)
-        if state.invariant:
-            err = 0.0
-        else:
-            err = state.beta * t * abs(state.H[m, m - 1]) * abs(cols[m - 1, q])
-        if err <= tol_abs or state.invariant:
-            return lincomb(list(state.beta * cols[:, p]), state.V[:m]), m, err
-        if m >= state.m_max:
-            raise _NotConverged(m)
+    for j in range(DEFAULT_M_MAX):
+        extended = arnoldi_extend(applyA, V, H, j, beta)
+        m = j + 1
+        cols = hessenberg_phi_e1(t * H[:m, :m], q)
+        err = beta * t * abs(H[m, j]) * abs(cols[j, q]) if extended else 0.0
+        if err <= tol_abs or not extended:
+            return lincomb(list(beta * cols[:, p]), V[:m]), m, err
+    raise _NotConverged(DEFAULT_M_MAX)
 
 
 def krylov_phi_action(applyA, p: int, tau: float, v, tol: float) -> PhiActionResult:
@@ -299,8 +250,9 @@ def _leja_interval(bounds: SpectralBounds):
     return c, gamma
 
 
-def _leja_newton(applyA, x, t, tol_abs, p, c, gamma, points):
-    """One Newton-form Leja evaluation of phi_p(t A) x (p = 0 gives exp).
+def _leja_newton(applyA, x, t, tol_abs, p, bounds):
+    """One Newton-form Leja evaluation of phi_p(t A) x (p = 0 gives exp) on
+    the default_leja_sequence() points scaled to ``bounds``.
 
     Raises _NotConverged when the point budget is exhausted or the terms
     diverge.  Returns (y, applies, last_estimate); term j costs one apply.
@@ -310,7 +262,8 @@ def _leja_newton(applyA, x, t, tol_abs, p, c, gamma, points):
     estimates below the tolerance.  Coefficients are computed for the first
     _DD_BLOCK points, and for twice as many each time j reaches their end.
     """
-    xi = tuple(points)
+    c, gamma = _leja_interval(bounds)
+    xi = default_leja_sequence()
     block = min(_DD_BLOCK, len(xi))
     dd = _cached_shifted_dd(xi[:block], c, gamma, t, p)
     r = copy_vector(x)
@@ -338,7 +291,7 @@ def _leja_newton(applyA, x, t, tol_abs, p, c, gamma, points):
         if not math.isfinite(est) or rnorm > guard:
             raise _NotConverged(j)
         small = est <= tol_abs
-        if small and prev_small and j >= 2:
+        if small and prev_small:
             return y, j, est
         prev_small = small
     raise _NotConverged(len(xi) - 1)
@@ -355,6 +308,9 @@ def leja_phi_action(
     over [0, tau]) and restarts on failure.
     """
     return _phi_engine(applyA, tau, [(p, v)], tol, bounds, "leja", single=True)
+
+
+EVALUATORS = {"krylov": _krylov_arnoldi, "leja": _leja_newton}
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +389,7 @@ def _phi_engine(applyA, tau, terms, tol, bounds, backend, single):
         raise ValueError("tau must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if backend not in ("krylov", "leja"):
+    if backend not in EVALUATORS:
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "leja" and bounds is None:
         raise ValueError("leja backend requires spectral bounds")
@@ -442,12 +398,7 @@ def _phi_engine(applyA, tau, terms, tol, bounds, backend, single):
     if max(float(np.linalg.norm(w)) for _p, w in terms) == 0.0:
         return PhiActionResult(np.zeros(dim), 0, 1, True, 0.0)
 
-    def evaluate(op, x, t, tol_abs, p, op_bounds):
-        if backend == "krylov":
-            return _krylov_arnoldi(op, x, t, tol_abs, p)
-        c, gamma = _leja_interval(op_bounds)
-        return _leja_newton(op, x, t, tol_abs, p, c, gamma, default_leja_sequence())
-
+    evaluate = EVALUATORS[backend]
     applies = 0
     s = 1
     if single:

@@ -272,16 +272,6 @@ def ns_linearize(state, n: int, nu: float) -> Linearization:
     return Linearization(apply, bounds)
 
 
-def ns_jacobian_action(state, w, n: int, nu: float) -> np.ndarray:
-    """J(U) [w1, w2, w3]^T, matrix-free; one counted jacvec event (21N)."""
-    return ns_linearize(state, n, nu)(w)
-
-
-def ns_spectral_bounds(state, n: int, nu: float) -> SpectralBounds:
-    """Gershgorin bounding box of the Jacobian at ``state``."""
-    return ns_linearize(state, n, nu).bounds
-
-
 def shear_flow_init(n: int, v0: float = 0.1, d: float = 1.0 / 30.0, delta: float = 5e-3) -> np.ndarray:
     """Shear-flow initial data: rho = 1, tanh velocity layer, sine perturbation."""
     if n < 4:

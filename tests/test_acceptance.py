@@ -20,7 +20,7 @@ from expbench.problems import (
     AdvDiffProblem,
     NavierStokesProblem,
     advdiff_kappa,
-    ns_jacobian_action,
+    ns_linearize,
     ns_rhs,
 )
 
@@ -188,7 +188,7 @@ def test_criterion_5_cost_model_identities(capsys, advdiff159):
     rhs_cost = counter.total_cost()
     counter = OpCounter(CostTable(NAVIER_STOKES_2D, N))
     with use_counter(counter):
-        ns_jacobian_action(ns.initial_state(), np.ones(3 * N), ns_n, ns.nu)
+        ns_linearize(ns.initial_state(), ns_n, ns.nu)(np.ones(3 * N))
     jac_cost = counter.total_cost()
     ns_ok = rhs_cost == 12 * N and jac_cost == 21 * N
     ok = zeta_ok and rk4_ok and ns_ok
@@ -247,7 +247,7 @@ def test_criterion_8_jacobian_consistency(capsys):
     worst = 0.0
     eps = 1e-6
     for state in (init, mid):
-        J = dense_from_action(lambda w: ns_jacobian_action(state, w, n, nu), dim)
+        J = dense_from_action(ns_linearize(state, n, nu), dim)
         Jfd = np.zeros((dim, dim))
         for j in range(dim):
             e = np.zeros(dim)

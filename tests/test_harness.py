@@ -6,6 +6,7 @@ import pytest
 from expbench import harness
 from expbench.harness import (
     CSV_HEADER,
+    PRESETS,
     ExperimentSpec,
     WorkPrecisionRecord,
     build_problem,
@@ -89,6 +90,10 @@ class TestComputeReference:
         ref = compute_reference(pb, 0.5)
         exact = dense_expm(0.5 * pb.operator.to_dense()) @ pb.initial_state()
         assert np.allclose(ref, exact, atol=1e-14)
+
+    def test_dense_reference_rejects_more_than_512_points(self):
+        with pytest.raises(ValueError):
+            compute_reference(build_problem(small_spec(n=513)), 0.5)
 
     def test_nonlinear_reference_self_consistent(self):
         pb = NavierStokesProblem(8, 1e-4)
@@ -221,7 +226,8 @@ class TestDumpFields:
 
 class TestPresets:
     def test_known_presets_are_valid(self):
-        for name in ("diffusion", "advection", "mixed", "shearflow"):
+        assert tuple(PRESETS) == ("diffusion", "advection", "mixed", "shearflow")
+        for name in PRESETS:
             spec = preset(name)
             assert spec.taus and spec.methods
 
@@ -240,6 +246,17 @@ class TestPresets:
         assert desk.n == 40 and desk.t_end == 1.0
         assert full.n == 160 and full.t_end == 12.0
         assert max(full.taus) == 1.0
+
+    @pytest.mark.parametrize(
+        "name, desk_taus, full_taus",
+        [("diffusion", 5, 9), ("advection", 5, 9), ("mixed", 4, 7), ("shearflow", 8, 8)],
+    )
+    def test_full_changes_only_the_scale(self, name, desk_taus, full_taus):
+        desk, full = preset(name), preset(name, full=True)
+        assert (len(desk.taus), len(full.taus)) == (desk_taus, full_taus)
+        assert full.taus[:desk_taus] == desk.taus
+        same = ("problem", "kappa", "nu", "methods", "tols", "zetas")
+        assert all(getattr(full, f) == getattr(desk, f) for f in same)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

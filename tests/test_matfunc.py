@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from expbench import matfunc
 from expbench.counting import ADVDIFF_1D
+from expbench.integrators import METHODS
 from expbench.linalg import (
+    SpectralBounds,
     build_advdiff_operator,
     copy_vector,
     dense_phi,
@@ -20,9 +22,9 @@ from expbench.linalg import (
     scale,
 )
 from expbench.matfunc import (
-    KrylovState,
+    DEFAULT_M_MAX,
+    EVALUATORS,
     arnoldi_extend,
-    arnoldi_start,
     default_leja_sequence,
     divided_differences_exp,
     generate_leja_points,
@@ -63,50 +65,78 @@ STIFF_COUNTS = {
 }
 
 
+def arnoldi_arrays(v, steps):
+    """Basis and Hessenberg arrays for ``steps`` extensions from v, set up as
+    _krylov_arnoldi does: (V, H, beta)."""
+    beta = norm2(v)
+    V = np.empty((steps + 1, v.size))
+    V[0] = scale(1.0 / beta, v)
+    return V, np.zeros((steps + 1, steps)), beta
+
+
+def run_arnoldi(applyA, v, steps):
+    """At most ``steps`` extensions, stopping at breakdown: (V, H, m, extended)."""
+    V, H, beta = arnoldi_arrays(v, steps)
+    m, extended = 0, True
+    while m < steps and extended:
+        extended = arnoldi_extend(applyA, V, H, m, beta)
+        m += 1
+    return V, H, m, extended
+
+
 class TestArnoldi:
     def test_identity_breaks_down_immediately(self):
-        v = np.array([0.6, 0.8])
-        state = arnoldi_start(v)
-        arnoldi_extend(lambda w: w, state)
-        assert state.invariant
-        assert state.H[0, 0] == pytest.approx(1.0)
-        assert len(state.V) == 1
+        V, H, m, extended = run_arnoldi(lambda w: w, np.array([0.6, 0.8]), 2)
+        assert (m, extended) == (1, False)
+        assert H[0, 0] == pytest.approx(1.0)
 
     def test_zero_start_rejected(self):
-        with pytest.raises(ValueError):
-            arnoldi_start(np.zeros(3))
+        # the zero vector never starts Arnoldi: no apply, nothing counted
+        calls = []
+        counter = fresh_counter(n=3)
+        with use_counter(counter):
+            y, applies, est = matfunc._krylov_arnoldi(
+                lambda w: calls.append(w) or w, np.zeros(3), 0.1, 1e-8, 1, None
+            )
+        assert (applies, est, calls) == (0, 0.0, [])
+        assert np.all(y == 0.0)
+        assert counter.events == {}
 
     def test_arnoldi_relation_and_orthonormality(self):
         pb = advdiff(12)
         A = pb.operator.to_dense()
-        rng = np.random.default_rng(5)
-        v = rng.standard_normal(12)
-        state = arnoldi_start(v)
-        for m in range(1, 7):
-            arnoldi_extend(lambda w: A @ w, state)
-            V = np.column_stack(state.V)
-            G = V.T @ V
-            assert np.linalg.norm(G - np.eye(V.shape[1])) < 1e-10
-        Vm = np.column_stack(state.V[: state.m])
-        Vext = np.column_stack(state.V)
-        Htilde = state.H[: state.m + 1, : state.m]
-        assert np.linalg.norm(A @ Vm - Vext @ Htilde) < 1e-12 * np.linalg.norm(A)
+        v = np.random.default_rng(5).standard_normal(12)
+        V, H, beta = arnoldi_arrays(v, 6)
+        for j in range(6):
+            assert arnoldi_extend(lambda w: A @ w, V, H, j, beta)
+            G = V[: j + 2] @ V[: j + 2].T
+            assert np.linalg.norm(G - np.eye(j + 2)) < 1e-10
+        assert np.linalg.norm(A @ V[:6].T - V.T @ H) < 1e-12 * np.linalg.norm(A)
 
     def test_cap_enforced(self):
-        state = arnoldi_start(np.array([1.0, 0.0]), m_max=1)
-        arnoldi_extend(lambda w: np.array([w[1], -w[0]]), state)
-        with pytest.raises(Exception):
-            arnoldi_extend(lambda w: np.array([w[1], -w[0]]), state)
+        # _krylov_arnoldi is the one place that enforces the dimension cap
+        pb, v, tau, tol = stiff_case()
+        assert pb.n > DEFAULT_M_MAX  # no breakdown before the cap
+        c = fresh_counter(ADVDIFF_1D, pb.n)
+        with use_counter(c), pytest.raises(matfunc._NotConverged) as exc:
+            matfunc._krylov_arnoldi(pb.rhs, v, tau, tol, 1, None)
+        assert exc.value.applies == DEFAULT_M_MAX
+        assert c.count("matvec") == DEFAULT_M_MAX
 
 
-def reference_arnoldi(applyA, v, m_max, steps):
+def test_every_method_backend_is_an_evaluator():
+    backends = {backend for _step, backend in METHODS.values() if backend is not None}
+    assert backends and backends <= set(EVALUATORS)
+
+
+def reference_arnoldi(applyA, v, steps):
     """The Arnoldi loop on a list basis, every operation through the counted
     primitives, one record per call: (V, H, m, invariant)."""
     beta = norm2(v)
     V = [scale(1.0 / beta, v)]
-    H = np.zeros((m_max + 1, m_max))
+    H = np.zeros((steps + 1, steps))
     m, invariant = 0, False
-    while m < min(steps, m_max) and not invariant:
+    while m < steps and not invariant:
         j = m
         w = applyA(V[j])
         for _pass in range(2):
@@ -126,52 +156,50 @@ def reference_arnoldi(applyA, v, m_max, steps):
 
 @st.composite
 def arnoldi_cases(draw):
-    """(operator, start vector, m_max, steps): random dense operators, the
-    identity (breakdown at step 1) and the reversal, which returns a view of
-    its input (breakdown at step 2)."""
+    """(operator, start vector, steps): random dense operators, the identity
+    (breakdown at step 1) and the reversal, which returns a view of its
+    input (breakdown at step 2)."""
     n = draw(st.integers(2, 40))
     kind = draw(st.sampled_from(["dense", "identity", "reverse"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = rng.standard_normal((n, n))
     ops = {"dense": lambda w: A @ w, "identity": lambda w: w, "reverse": lambda w: w[::-1]}
     steps = draw(st.integers(1, min(n, 30)))
-    m_max = draw(st.integers(1, steps + 2))
-    return ops[kind], rng.standard_normal(n), m_max, steps
+    return ops[kind], rng.standard_normal(n), steps
 
 
 class TestArnoldiMatchesCountedPrimitives:
     @settings(max_examples=80, deadline=None)
     @given(case=arnoldi_cases())
     def test_bit_identical_basis_hessenberg_and_counts(self, case):
-        applyA, v, m_max, steps = case
+        applyA, v, steps = case
         ref_counter, fast_counter = fresh_counter(n=v.size), fresh_counter(n=v.size)
         with use_counter(ref_counter):
-            V, H, m, invariant = reference_arnoldi(applyA, v, m_max, steps)
+            V, H, m, invariant = reference_arnoldi(applyA, v, steps)
         with use_counter(fast_counter):
-            state = arnoldi_start(v, m_max=m_max)
-            while state.m < min(steps, m_max) and not state.invariant:
-                arnoldi_extend(applyA, state)
-        assert (state.m, state.invariant) == (m, invariant)
-        assert np.array_equal(state.H, H)
-        assert len(state.V) == len(V)
-        for fast, ref in zip(state.V, V):
+            fast_V, fast_H, fast_m, extended = run_arnoldi(applyA, v, steps)
+        assert (fast_m, not extended) == (m, invariant)
+        assert np.array_equal(fast_H, H)
+        assert len(V) == (m if invariant else m + 1)
+        for fast, ref in zip(fast_V, V):
             assert np.array_equal(fast, ref)
         assert fast_counter.events == ref_counter.events
         assert fast_counter.lincomb_weight == ref_counter.lincomb_weight
 
     def test_operator_of_wrong_length_rejected_before_counting(self):
+        V, H, beta = arnoldi_arrays(np.ones(3), 2)
         counter = fresh_counter(n=3)
-        state = arnoldi_start(np.ones(3))
         with use_counter(counter):
             with pytest.raises(ValueError):
-                arnoldi_extend(lambda w: np.ones(4), state)
+                arnoldi_extend(lambda w: np.ones(4), V, H, 0, beta)
         assert counter.events == {}
 
 
-def reference_leja_newton(applyA, x, t, tol_abs, p, c, gamma, points):
+def reference_leja_newton(applyA, x, t, tol_abs, p, bounds):
     """The Newton loop of matfunc._leja_newton through the counted
     primitives: (y, applies, estimate), or the applies of _NotConverged."""
-    xi = tuple(points)
+    c, gamma = matfunc._leja_interval(bounds)
+    xi = default_leja_sequence()
     block = min(matfunc._DD_BLOCK, len(xi))
     dd = matfunc._cached_shifted_dd(xi[:block], c, gamma, t, p)
     r = copy_vector(x)
@@ -208,15 +236,14 @@ class TestLejaNewtonMatchesCountedPrimitives:
     )
     def test_bit_identical_result_and_counts(self, n, kappa, t, tol, p, seed):
         pb = advdiff(n, kappa)
-        c, gamma = matfunc._leja_interval(pb.linearize().bounds)
+        bounds = pb.linearize().bounds
         x = np.random.default_rng(seed).standard_normal(n)
-        points = default_leja_sequence()
         ref_counter, fast_counter = fresh_counter(n=n), fresh_counter(n=n)
         with use_counter(ref_counter):
-            ref = reference_leja_newton(pb.rhs, x, t, tol, p, c, gamma, points)
+            ref = reference_leja_newton(pb.rhs, x, t, tol, p, bounds)
         with use_counter(fast_counter):
             try:
-                fast = matfunc._leja_newton(pb.rhs, x, t, tol, p, c, gamma, points)
+                fast = matfunc._leja_newton(pb.rhs, x, t, tol, p, bounds)
             except matfunc._NotConverged as exc:
                 fast = exc.applies
         if isinstance(ref, tuple):
@@ -232,8 +259,7 @@ class TestLejaNewtonMatchesCountedPrimitives:
         with use_counter(counter):
             with pytest.raises(ValueError):
                 matfunc._leja_newton(
-                    lambda w: np.ones(4), np.ones(3), 0.1, 1e-8, 0, -1.0, 1.0,
-                    default_leja_sequence(),
+                    lambda w: np.ones(4), np.ones(3), 0.1, 1e-8, 0, SpectralBounds(-3.0, 1.0, 0.0)
                 )
         assert counter.count("lincomb") == 0
 
@@ -475,10 +501,9 @@ class TestHessenbergPhi:
         # Hessenberg matrix of a stiff operator: ||tau H|| ~ 300
         pb = advdiff(60, kappa=1.0)
         A = pb.operator.to_dense()
-        state = arnoldi_start(np.ones(60))
-        for _ in range(30):
-            arnoldi_extend(lambda w: A @ w, state)
-        H = state.H[:30, :30]
+        _V, H, m, _extended = run_arnoldi(lambda w: A @ w, np.ones(60), 30)
+        assert m == 30
+        H = H[:30, :30]
         H = H * (300.0 / np.linalg.norm(H, 1))
         cols = hessenberg_phi_e1(H, 3)
         for k in range(4):
