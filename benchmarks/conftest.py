@@ -1,0 +1,32 @@
+"""Fixtures shared by the microbenchmarks."""
+
+import numpy as np
+import pytest
+
+from expbench.linalg import norm2, scale
+from expbench.matfunc import arnoldi_extend
+from expbench.problems import AdvDiffProblem, advdiff_kappa
+
+N_ADVDIFF = 159
+
+
+def _arnoldi(applyA, v, steps):
+    """``steps`` Arnoldi extensions from v on arrays set up as _krylov_arnoldi
+    sets them up: (V, H, number of extensions that did not break down)."""
+    beta = norm2(v)
+    V = np.empty((steps + 1, v.size))
+    V[0] = scale(1.0 / beta, v)
+    H = np.zeros((steps + 1, steps))
+    extended = sum(arnoldi_extend(applyA, V, H, j, beta) for j in range(steps))
+    return V, H, extended
+
+
+@pytest.fixture(scope="session")
+def arnoldi():
+    return _arnoldi
+
+
+@pytest.fixture(scope="session")
+def advdiff():
+    """The diffusion preset's operator: n = 159, kappa = 1/80."""
+    return AdvDiffProblem(N_ADVDIFF, advdiff_kappa(("const", 1.0 / 80.0)))

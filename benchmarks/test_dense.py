@@ -18,33 +18,15 @@ import numpy as np
 import pytest
 
 from expbench import matfunc
-from expbench.linalg import norm2, scale
-from expbench.matfunc import (
-    arnoldi_extend,
-    default_leja_sequence,
-    divided_differences_exp,
-    hessenberg_phi_e1,
-)
-from expbench.problems import AdvDiffProblem, advdiff_kappa
+from expbench.matfunc import default_leja_sequence, divided_differences_exp, hessenberg_phi_e1
 
-N_ADVDIFF = 159
 TAU = 0.25
 
 
-@pytest.fixture(scope="module")
-def advdiff():
-    return AdvDiffProblem(N_ADVDIFF, advdiff_kappa(("const", 1.0 / 80.0)))
-
-
 @pytest.mark.parametrize("m", [20, 100])
-def test_hessenberg_phi_e1(benchmark, advdiff, m):
-    v = advdiff.initial_state()
-    beta = norm2(v)
-    V = np.empty((m + 1, v.size))
-    V[0] = scale(1.0 / beta, v)
-    H = np.zeros((m + 1, m))
-    for j in range(m):
-        assert arnoldi_extend(advdiff.rhs, V, H, j, beta)
+def test_hessenberg_phi_e1(benchmark, arnoldi, advdiff, m):
+    _V, H, extended = arnoldi(advdiff.rhs, advdiff.initial_state(), m)
+    assert extended == m
     Hm = TAU * H[:m, :m]
     cols = benchmark(hessenberg_phi_e1, Hm, 3)
     assert cols.shape == (m, 4)

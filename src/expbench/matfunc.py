@@ -415,7 +415,7 @@ def _phi_engine(applyA, tau, terms, tol, bounds, backend, single):
     else:
         op = _AugmentedOperator(applyA, dim, terms)
         x0 = op.start_vector()
-        op_bounds = op.inflated_bounds(bounds) if backend == "leja" else None
+        op_bounds = None if bounds is None else op.inflated_bounds(bounds)
     while s <= SUBSTEP_CAP:
         y = x0
         try:

@@ -92,8 +92,9 @@ class TestComputeReference:
         assert np.allclose(ref, exact, atol=1e-14)
 
     def test_dense_reference_rejects_more_than_512_points(self):
-        with pytest.raises(ValueError):
-            compute_reference(build_problem(small_spec(n=513)), 0.5)
+        pb = build_problem(small_spec(n=513))
+        with pytest.raises(ValueError, match="exceeds cap 512"):
+            compute_reference(pb, 0.5)
 
     def test_nonlinear_reference_self_consistent(self):
         pb = NavierStokesProblem(8, 1e-4)

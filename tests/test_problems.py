@@ -169,8 +169,11 @@ class TestPeriodicStencils:
         nu = 1e-3
         states = (perturbed_shear_flow(n, 0), perturbed_shear_flow(n, 1), lopsided_velocity_state(n))
         for state in states:
+            reference = roll_spectral_bounds(state, n, nu)
             b = ns_linearize(state, n, nu).bounds
-            assert (b.real_min, b.real_max, b.imag_halfwidth) == roll_spectral_bounds(state, n, nu)
+            assert (b.real_min, b.real_max, b.imag_halfwidth) == reference
+            J = NavierStokesProblem(n, nu).linearize(state)
+            assert (J.bounds.real_min, J.bounds.real_max, J.bounds.imag_halfwidth) == reference
 
 
 class TestFrozenLinearization:
