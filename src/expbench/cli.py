@@ -9,6 +9,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from .harness import (
 )
 from .integrators import METHODS, IntegrationError, MethodConfig, integrate
 from .linalg import dense_phi
-from .matfunc import krylov_phi_action, leja_phi_action
+from .matfunc import NotConverged, krylov_phi_action, leja_phi_action
 from .problems import AdvDiffProblem, advdiff_kappa
 
 
@@ -106,7 +107,8 @@ def _do_run(spec: ExperimentSpec, out, dump_dir) -> int:
 
 
 def selftest() -> int:
-    """Check both evaluators against the dense oracle on small operators."""
+    """Check both evaluators against the dense oracle on small operators; an
+    action that raises NotConverged is a failed check."""
     rng = np.random.default_rng(7)
     failures = 0
     for n in (16, 32):
@@ -118,14 +120,16 @@ def selftest() -> int:
                 for p in (0, 1, 3):
                     oracle = dense_phi(tau * dense, p) @ v
                     scale_ref = float(np.linalg.norm(oracle))
-                    for backend, res in (
-                        ("krylov", krylov_phi_action(problem.rhs, p, tau, v, 1e-12)),
-                        ("leja", leja_phi_action(
-                            problem.rhs, p, tau, v, 1e-12, problem.linearize().bounds
-                        )),
+                    for backend, action in (
+                        ("krylov", krylov_phi_action),
+                        ("leja", leja_phi_action),
                     ):
-                        err = float(np.linalg.norm(res.y - oracle)) / scale_ref
-                        ok = res.converged and err <= 1e-10
+                        try:
+                            y = action(problem.linearize(), p, tau, v, 1e-12).y
+                            err = float(np.linalg.norm(y - oracle)) / scale_ref
+                        except NotConverged:
+                            err = math.inf
+                        ok = err <= 1e-10
                         status = "pass" if ok else "FAIL"
                         print(
                             f"[{status}] n={n:3d} kappa={kappa:.6g} tau={tau:g} "

@@ -21,9 +21,8 @@ from .integrators import IntegrationError, MethodConfig, METHODS, integrate, rk4
 from .linalg import dense_expm
 from .problems import AdvDiffProblem, NavierStokesProblem, advdiff_kappa
 
-CSV_HEADER = (
-    "method,tau,tol,zeta,error,total_cost,steps,"
-    "matvec,jacvec,rhs,dot,lincomb,scale,fetch,store,converged"
+CSV_HEADER = ",".join(
+    ("method", "tau", "tol", "zeta", "error", "total_cost", "steps", *CSV_PRIMITIVES, "converged")
 )
 
 REFERENCE_STEP_CAP = 2**20

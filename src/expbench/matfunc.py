@@ -8,31 +8,35 @@ on [-2, 2], scaled and shifted to the Gershgorin interval of the operator,
 Newton form with divided differences computed via the matrix method on a
 bidiagonal node matrix, phi_p through p leading zero nodes, for a leading
 block of points that doubles only when the evaluation runs past it).  Both
-take (applyA, x, t, tol_abs, p, bounds) and are listed in EVALUATORS by
-backend name.  Each evaluation returns its result, the number of operator
-applications and its last error estimate, or raises _NotConverged with the
+take (applyA, x, t, tol_abs, p) and are listed in EVALUATORS by backend
+name; the Leja one reads the operator's SpectralBounds from
+``applyA.bounds``, which a problem's Linearization computes on first
+access.  Each evaluation returns its result, the number of operator
+applications and its last error estimate, or raises NotConverged with the
 applications spent.
 
 The three entry points take plain arguments:
 
     krylov_phi_action(applyA, p, tau, v, tol)
-    leja_phi_action(applyA, p, tau, v, tol, bounds)
-    phi_linear_combination(applyJ, tau, terms, tol, bounds, backend)
+    leja_phi_action(applyA, p, tau, v, tol)
+    phi_linear_combination(applyJ, tau, terms, tol, backend)
 
-with ``tol`` an absolute 2-norm accuracy and ``bounds`` the operator's
-SpectralBounds (Leja only).  One substep loop serves all three and checks
-their arguments before any counted work.  A single phi_p action is first
-tried as one evaluation on A; when that does not converge within its budget
-(Krylov dimension DEFAULT_M_MAX, the DEFAULT_LEJA_COUNT points of
-default_leja_sequence()), the loop chains s equal exponential substeps,
-s = 2, 4, ... up to a cap of 1024, of A (p = 0) or of the augmented operator
+with ``tol`` an absolute 2-norm accuracy.  One substep loop serves all
+three and checks their arguments before any counted work.  A single phi_p
+action is first tried as one evaluation on A; when that does not converge
+within its budget (Krylov dimension DEFAULT_M_MAX, the DEFAULT_LEJA_COUNT
+points of default_leja_sequence()), the loop chains s equal exponential
+substeps, s = 2, 4, ... up to a cap of 1024, of A (p = 0) or of the
+augmented operator
 
     [[A, W], [0, K]]
 
 whose top block, applied to a padded start vector, yields
 sum_p tau^p phi_p(tau A) w_p.  The phi-linear-combination needed by the
 fourth-order integrator is the same chain from s = 1.  The iteration count
-of a result sums the applications of every evaluation, failed ones included.
+of a result sums the applications of every evaluation, failed ones included;
+when the chain fails at the cap, the action raises NotConverged with that
+sum.
 
 The Leja points are generated once per process (functools.cache), and the
 shifted divided differences of the last 64 distinct (nodes, interval, t, p)
@@ -66,8 +70,9 @@ _BREAKDOWN_FACTOR = 1e-14
 _DIVERGENCE_FACTOR = 1e8
 
 
-class _NotConverged(Exception):
-    """An evaluation ran out of budget after ``applies`` operator calls."""
+class NotConverged(Exception):
+    """An evaluation, or a whole action, ran out of budget after ``applies``
+    operator calls."""
 
     def __init__(self, applies: int):
         super().__init__(applies)
@@ -79,8 +84,7 @@ class PhiActionResult:
     y: np.ndarray
     iterations: int
     substeps: int
-    converged: bool
-    final_estimate: float = math.nan
+    final_estimate: float
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +137,11 @@ def hessenberg_phi_e1(Hm, q: int) -> np.ndarray:
     return dense_expm(aug)[:m, [0, *range(m, m + q)]]
 
 
-def _krylov_arnoldi(applyA, x, t, tol_abs, p, bounds):
+def _krylov_arnoldi(applyA, x, t, tol_abs, p):
     """One Arnoldi evaluation of phi_p(t A) x (p = 0 gives exp) with the
-    stopping rule of krylov_phi_action; ``bounds`` is not used.
+    stopping rule of krylov_phi_action.
 
-    Returns (y, applies, last_estimate); raises _NotConverged at the
+    Returns (y, applies, last_estimate); raises NotConverged at the
     dimension cap DEFAULT_M_MAX.
     """
     if float(np.linalg.norm(x)) == 0.0:
@@ -154,7 +158,7 @@ def _krylov_arnoldi(applyA, x, t, tol_abs, p, bounds):
         err = beta * t * abs(H[m, j]) * abs(cols[j, q]) if extended else 0.0
         if err <= tol_abs or not extended:
             return lincomb(list(beta * cols[:, p]), V[:m]), m, err
-    raise _NotConverged(DEFAULT_M_MAX)
+    raise NotConverged(DEFAULT_M_MAX)
 
 
 def krylov_phi_action(applyA, p: int, tau: float, v, tol: float) -> PhiActionResult:
@@ -165,7 +169,7 @@ def krylov_phi_action(applyA, p: int, tau: float, v, tol: float) -> PhiActionRes
     q = max(p, 1), checked after every extension.  Falls back to substepped,
     chained evaluation when the dimension cap is hit.
     """
-    return _phi_engine(applyA, tau, [(p, v)], tol, None, "krylov", single=True)
+    return _phi_engine(applyA, tau, [(p, v)], tol, "krylov", single=True)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +254,11 @@ def _leja_interval(bounds: SpectralBounds):
     return c, gamma
 
 
-def _leja_newton(applyA, x, t, tol_abs, p, bounds):
+def _leja_newton(applyA, x, t, tol_abs, p):
     """One Newton-form Leja evaluation of phi_p(t A) x (p = 0 gives exp) on
-    the default_leja_sequence() points scaled to ``bounds``.
+    the default_leja_sequence() points scaled to ``applyA.bounds``.
 
-    Raises _NotConverged when the point budget is exhausted or the terms
+    Raises NotConverged when the point budget is exhausted or the terms
     diverge.  Returns (y, applies, last_estimate); term j costs one apply.
 
     The magnitude of the Newton terms oscillates, so a single small term is
@@ -262,7 +266,7 @@ def _leja_newton(applyA, x, t, tol_abs, p, bounds):
     estimates below the tolerance.  Coefficients are computed for the first
     _DD_BLOCK points, and for twice as many each time j reaches their end.
     """
-    c, gamma = _leja_interval(bounds)
+    c, gamma = _leja_interval(applyA.bounds)
     xi = default_leja_sequence()
     block = min(_DD_BLOCK, len(xi))
     dd = _cached_shifted_dd(xi[:block], c, gamma, t, p)
@@ -289,25 +293,23 @@ def _leja_newton(applyA, x, t, tol_abs, p, bounds):
         rnorm = norm2(r)
         est = abs(dd[j]) * rnorm
         if not math.isfinite(est) or rnorm > guard:
-            raise _NotConverged(j)
+            raise NotConverged(j)
         small = est <= tol_abs
         if small and prev_small:
             return y, j, est
         prev_small = small
-    raise _NotConverged(len(xi) - 1)
+    raise NotConverged(len(xi) - 1)
 
 
-def leja_phi_action(
-    applyA, p: int, tau: float, v, tol: float, bounds: SpectralBounds
-) -> PhiActionResult:
+def leja_phi_action(applyA, p: int, tau: float, v, tol: float) -> PhiActionResult:
     """y ~ phi_p(tau A) v by Newton interpolation on Leja points scaled to
-    ``bounds``.
+    ``applyA.bounds``.
 
     Terminates when the L2 norms of two consecutive Newton terms are below
     tol; halves the substep (doubling the substep count, uniform
     over [0, tau]) and restarts on failure.
     """
-    return _phi_engine(applyA, tau, [(p, v)], tol, bounds, "leja", single=True)
+    return _phi_engine(applyA, tau, [(p, v)], tol, "leja", single=True)
 
 
 EVALUATORS = {"krylov": _krylov_arnoldi, "leja": _leja_newton}
@@ -355,18 +357,21 @@ class _AugmentedOperator:
         out[-1] = 0.0
         return out
 
-    def inflated_bounds(self, bounds: SpectralBounds) -> SpectralBounds:
-        """Gershgorin bounds of the augmented operator from those of A."""
+    @functools.cached_property
+    def bounds(self) -> SpectralBounds:
+        """Gershgorin bounds of the augmented operator from those of A,
+        computed on first access (only Leja reads them)."""
+        inner = self.applyA.bounds
         W = np.column_stack(self.columns)
         extra = float(np.max(np.sum(np.abs(W), axis=1)))
         return SpectralBounds(
-            real_min=min(bounds.real_min - extra, -1.0),
-            real_max=max(bounds.real_max + extra, 1.0),
-            imag_halfwidth=max(bounds.imag_halfwidth + extra, 1.0),
+            real_min=min(inner.real_min - extra, -1.0),
+            real_max=max(inner.real_max + extra, 1.0),
+            imag_halfwidth=max(inner.imag_halfwidth + extra, 1.0),
         )
 
 
-def _phi_engine(applyA, tau, terms, tol, bounds, backend, single):
+def _phi_engine(applyA, tau, terms, tol, backend, single):
     """sum_p tau^p phi_p(tau A) w_p over ``terms`` by the substep loop.
 
     The loop chains s equal exponential substeps of the augmented operator,
@@ -376,7 +381,9 @@ def _phi_engine(applyA, tau, terms, tol, bounds, backend, single):
     rescaling amplifies absolute errors, so the chained tolerance is
     tightened to tol * min(tau, 1)^p.
 
-    Every argument is checked here, before any counted work.
+    Every argument is checked here, before any counted work.  Raises
+    NotConverged with every application spent when the chain fails at
+    SUBSTEP_CAP.
     """
     ps = [p for p, _w in terms]
     if not ps:
@@ -391,12 +398,12 @@ def _phi_engine(applyA, tau, terms, tol, bounds, backend, single):
         raise ValueError("tol must be positive")
     if backend not in EVALUATORS:
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "leja" and bounds is None:
-        raise ValueError("leja backend requires spectral bounds")
+    if backend == "leja" and not hasattr(applyA, "bounds"):
+        raise ValueError("leja backend requires an operator with spectral bounds")
     terms = [(p, np.asarray(w, dtype=float)) for p, w in terms]
     dim = terms[0][1].size
     if max(float(np.linalg.norm(w)) for _p, w in terms) == 0.0:
-        return PhiActionResult(np.zeros(dim), 0, 1, True, 0.0)
+        return PhiActionResult(np.zeros(dim), 0, 1, 0.0)
 
     evaluate = EVALUATORS[backend]
     applies = 0
@@ -404,41 +411,38 @@ def _phi_engine(applyA, tau, terms, tol, bounds, backend, single):
     if single:
         [(p, v)] = terms
         try:
-            y, applies, est = evaluate(applyA, v, tau, tol, p, bounds)
-            return PhiActionResult(y, applies, 1, True, est)
-        except _NotConverged as exc:
+            y, applies, est = evaluate(applyA, v, tau, tol, p)
+            return PhiActionResult(y, applies, 1, est)
+        except NotConverged as exc:
             applies = exc.applies
         s = 2
         tol = tol * min(tau, 1.0) ** p
     if single and p == 0:
-        op, x0, op_bounds = applyA, copy_vector(v), bounds
+        op, x0 = applyA, v
     else:
         op = _AugmentedOperator(applyA, dim, terms)
         x0 = op.start_vector()
-        op_bounds = None if bounds is None else op.inflated_bounds(bounds)
     while s <= SUBSTEP_CAP:
         y = x0
         try:
             for _k in range(s):
-                y, n, est = evaluate(op, y, tau / s, tol / s, 0, op_bounds)
+                y, n, est = evaluate(op, y, tau / s, tol / s, 0)
                 applies += n
-        except _NotConverged as exc:
+        except NotConverged as exc:
             applies += exc.applies
             s *= 2
             continue
         y = y[:dim]
         if single and p > 0:
             y = scale(tau ** (-p), y)
-        return PhiActionResult(y, applies, s, True, est)
-    return PhiActionResult(np.full(dim, np.nan), applies, SUBSTEP_CAP, False, math.inf)
+        return PhiActionResult(y, applies, s, est)
+    raise NotConverged(applies)
 
 
-def phi_linear_combination(
-    applyJ, tau: float, terms, tol: float, bounds: SpectralBounds | None, backend: str
-) -> PhiActionResult:
+def phi_linear_combination(applyJ, tau: float, terms, tol: float, backend: str) -> PhiActionResult:
     """sum_p tau^p phi_p(tau J) w_p in one augmented-operator evaluation.
 
-    ``terms`` is a list of (p, w) pairs with distinct p in 1..3; ``bounds``
-    may be None for the "krylov" backend.
+    ``terms`` is a list of (p, w) pairs with distinct p in 1..3; the "leja"
+    backend reads ``applyJ.bounds``.
     """
-    return _phi_engine(applyJ, tau, terms, tol, bounds, backend, single=False)
+    return _phi_engine(applyJ, tau, terms, tol, backend, single=False)

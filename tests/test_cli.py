@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from expbench import matfunc
 from expbench.cli import build_parser, main
 from expbench.harness import read_csv
 
@@ -120,3 +121,15 @@ class TestSelftest:
         lines = capsys.readouterr().out.splitlines()
         assert sum(line.startswith("[pass]") for line in lines) == 48
         assert lines[-1] == "selftest: PASS"
+
+    def test_not_converged_action_is_a_failed_check(self, capsys, monkeypatch):
+        def exhausted(applyA, x, t, tol_abs, p):
+            raise matfunc.NotConverged(3)
+
+        monkeypatch.setitem(matfunc.EVALUATORS, "leja", exhausted)
+        assert main(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("[FAIL]")]
+        assert len(failed) == 24 and all(" leja " in line for line in failed)
+        assert sum(line.startswith("[pass]") for line in lines) == 24
+        assert lines[-1] == "selftest: 24 FAILURES"
