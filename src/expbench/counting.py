@@ -3,10 +3,14 @@
 Every algorithm in this package is instrumented at the level of counted
 primitives (stencil matvec, Jacobian action, right-hand side evaluation,
 inner product, scalar multiply, linear combination, plain fetch/store).
-Each primitive has a fixed memory-operation cost per call, parametrized by
-the problem size.  Inner products are additionally weighted by ``zeta``,
-which models the cost of reductions on distributed machines (zeta = 1 for
-a desktop, zeta = 10 as a representative supercomputer value).
+Each primitive has a fixed memory-operation cost per call, a whole number
+of state-vector lengths L.  The vector primitives cost the same on every
+problem; each problem states the costs of its own operator primitives in
+its ``cost_table``.  Inner products are additionally weighted by ``zeta``,
+the argument of ``total_cost``, which models the cost of reductions on
+distributed machines (zeta = 1 for a desktop, zeta = 10 as a representative
+supercomputer value).  The event counts do not depend on zeta, so one run
+is totalled for any number of zeta values.
 
 Small dense work (Hessenberg matrix functions, divided differences) is
 deliberately NOT counted: only state-vector-sized memory traffic enters
@@ -24,26 +28,9 @@ import contextlib
 import contextvars
 from dataclasses import dataclass, field
 
-ADVDIFF_1D = "advdiff-1d"
-NAVIER_STOKES_2D = "navier-stokes-2d"
-
-# Cost per primitive in units of the state-vector length L (L = n for the
-# 1D problem, L = 3N for Navier-Stokes).  lincomb, jacvec and rhs are
-# handled separately below.
-_UNIT_COSTS = {
-    "fetch": 1,
-    "store": 1,
-    "scale": 2,
-    "dot": 2,
-    "matvec": 2,
-}
-
-_PRIMITIVES = {
-    ADVDIFF_1D: frozenset({"fetch", "store", "scale", "dot", "matvec", "lincomb"}),
-    NAVIER_STOKES_2D: frozenset(
-        {"fetch", "store", "scale", "dot", "lincomb", "jacvec", "rhs"}
-    ),
-}
+# Cost per call of the vector primitives shared by every problem, in units
+# of L.  A linear combination of k vectors costs k + 1.
+_VECTOR_COSTS = {"fetch": 1, "store": 1, "scale": 2, "dot": 2}
 
 CSV_PRIMITIVES = ("matvec", "jacvec", "rhs", "dot", "lincomb", "scale", "fetch", "store")
 
@@ -54,101 +41,73 @@ class CountingError(ValueError):
 
 @dataclass(frozen=True)
 class CostTable:
-    """Per-primitive memory-operation costs for one of the two problems.
+    """Per-primitive memory-operation costs of one problem.
 
-    ``n`` is the number of grid unknowns per component: the number of
-    interior points for the 1D problem, or N = n**2 for Navier-Stokes.
+    ``state_len`` is the state-vector length L; ``operator_costs`` maps each
+    of the problem's own operator primitives to its cost per call in units
+    of L.  ``units`` merges them with the shared vector costs.
     """
 
-    table_id: str
-    n: int
+    state_len: int
+    operator_costs: dict
+    units: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.table_id not in _PRIMITIVES:
-            raise CountingError(f"unknown cost table {self.table_id!r}")
-        if self.n < 1:
-            raise CountingError("grid size must be positive")
+        if self.state_len < 1:
+            raise CountingError("state length must be positive")
+        object.__setattr__(self, "units", {**_VECTOR_COSTS, **self.operator_costs})
 
-    @property
-    def state_len(self) -> int:
-        if self.table_id == ADVDIFF_1D:
-            return self.n
-        return 3 * self.n
-
-    @property
-    def primitives(self) -> frozenset:
-        return _PRIMITIVES[self.table_id]
-
-    def unit_cost(self, primitive: str, k: int | None = None) -> int:
-        """Memory operations for one call of ``primitive``.
+    def weight(self, primitive: str, k: int | None = None) -> int:
+        """Cost of one call of ``primitive`` in units of L.
 
         ``k`` is required for lincomb (number of combined vectors).
         """
-        if primitive not in self.primitives:
-            raise CountingError(
-                f"primitive {primitive!r} is not part of table {self.table_id!r}"
-            )
-        L = self.state_len
         if primitive == "lincomb":
             if k is None or k < 1:
                 raise CountingError("lincomb requires k >= 1")
-            return (k + 1) * L
-        if primitive == "jacvec":
-            return 7 * L  # 21 N
-        if primitive == "rhs":
-            return 4 * L  # 12 N
-        return _UNIT_COSTS[primitive] * L
+            return k + 1
+        try:
+            return self.units[primitive]
+        except KeyError:
+            raise CountingError(f"primitive {primitive!r} is not part of this table") from None
+
+    def unit_cost(self, primitive: str, k: int | None = None) -> int:
+        """Memory operations for one call of ``primitive``."""
+        return self.weight(primitive, k) * self.state_len
 
 
 @dataclass
 class OpCounter:
     """Tally of counted primitive events for a single run context.
 
-    ``total_cost`` is the zeta-weighted sum of the per-event costs; the
-    event counts themselves are independent of zeta, so the total can be
-    re-evaluated for any zeta after the run.
+    ``tally`` is the summed cost, in units of L, of every event but the
+    inner products, which ``total_cost`` weights by zeta.
     """
 
     table: CostTable
-    zeta: float = 1.0
     events: dict = field(default_factory=dict)
-    lincomb_weight: int = 0  # sum of (k + 1) over all lincomb events
+    tally: int = 0
 
     def record(self, primitive: str, k: int | None = None, times: int = 1) -> None:
         """Record ``times`` events of ``primitive`` (``k`` vectors for lincomb).
 
         Equivalent to ``times`` single records; ``times = 0`` records nothing.
         """
-        if primitive not in _PRIMITIVES[self.table.table_id]:
-            raise CountingError(
-                f"primitive {primitive!r} is not part of table {self.table.table_id!r}"
-            )
+        weight = self.table.weight(primitive, k)
         if times < 0:
             raise CountingError("times must be non-negative")
-        if primitive == "lincomb":
-            if k is None or k < 1:
-                raise CountingError("lincomb requires k >= 1")
-            self.lincomb_weight += times * (k + 1)
         if times:
             self.events[primitive] = self.events.get(primitive, 0) + times
+            if primitive != "dot":
+                self.tally += times * weight
 
     def count(self, primitive: str) -> int:
         return self.events.get(primitive, 0)
 
-    def dot_base_cost(self) -> int:
-        """Unweighted memory cost of all recorded inner products."""
-        return self.count("dot") * self.table.unit_cost("dot")
-
-    def total_cost(self, zeta: float | None = None) -> float:
-        if zeta is None:
-            zeta = self.zeta
-        L = self.table.state_len
-        total = self.lincomb_weight * L
-        for primitive, cnt in self.events.items():
-            if primitive in ("lincomb", "dot"):
-                continue
-            total += cnt * self.table.unit_cost(primitive)
-        return total + zeta * self.dot_base_cost()
+    def total_cost(self, zeta: float) -> float:
+        """Memory operations of all events, inner products weighted by zeta."""
+        table = self.table
+        return self.tally * table.state_len + zeta * (self.count("dot") * table.unit_cost("dot"))
 
     def breakdown(self) -> dict:
         """Event counts for every CSV primitive (zero if never recorded)."""

@@ -145,9 +145,9 @@ def run_experiment(spec: ExperimentSpec, reference=None, problem=None):
                             tol=tol,
                             zeta=zeta,
                             error=error,
-                            total_cost=counter.total_cost(zeta) if counter else 0.0,
+                            total_cost=counter.total_cost(zeta),
                             steps=steps,
-                            counts=counter.breakdown() if counter else {p: 0 for p in CSV_PRIMITIVES},
+                            counts=counter.breakdown(),
                             converged=converged,
                         )
                     )

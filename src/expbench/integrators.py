@@ -45,9 +45,10 @@ INSTABILITY_THRESHOLD = 1e12
 
 
 class IntegrationError(RuntimeError):
-    """Base for aborted integrations; carries the partial counter."""
+    """Base for aborted integrations; carries the partial counter and the
+    number of completed steps."""
 
-    def __init__(self, message, counter=None, steps=0):
+    def __init__(self, message, counter, steps):
         super().__init__(message)
         self.counter = counter
         self.steps = steps
@@ -66,7 +67,6 @@ class MethodConfig:
     method: str
     tau: float
     tol: float | None = None
-    zeta: float = 1.0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -182,7 +182,7 @@ def integrate(problem, config: MethodConfig, u0, t_end: float) -> RunResult:
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    counter = OpCounter(problem.cost_table(), zeta=config.zeta)
+    counter = OpCounter(problem.cost_table())
     diagnostics = []
     steps = 0
     step_name, backend = METHODS[config.method]

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .counting import ADVDIFF_1D, NAVIER_STOKES_2D, CostTable, record
+from .counting import CostTable, record
 from .linalg import (
     SpectralBounds,
     StencilOperator1D,
@@ -103,7 +103,8 @@ class AdvDiffProblem:
         return self._jacobian
 
     def cost_table(self) -> CostTable:
-        return CostTable(ADVDIFF_1D, self.n)
+        """A stencil product costs 2n."""
+        return CostTable(self.dimension, {"matvec": 2})
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +322,8 @@ class NavierStokesProblem:
         return ns_linearize(state, self.n, self.nu)
 
     def cost_table(self) -> CostTable:
-        return CostTable(NAVIER_STOKES_2D, self.N)
+        """A Jacobian action costs 21N, a right-hand side 12N."""
+        return CostTable(self.dimension, {"jacvec": 7, "rhs": 4})
 
     def fields(self, state):
         """(rho, u, v, omega) as n x n grids."""

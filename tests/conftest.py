@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from expbench.counting import ADVDIFF_1D, CostTable, OpCounter, use_counter
+from expbench.counting import CostTable, OpCounter, use_counter
 from expbench.linalg import gershgorin_bounds
 from expbench.problems import Linearization
 
@@ -34,11 +34,12 @@ class DenseLinearProblem:
         return Linearization(lambda w: self.M @ np.asarray(w, dtype=float), bounds)
 
     def cost_table(self) -> CostTable:
-        return CostTable(ADVDIFF_1D, self.n)
+        return CostTable(self.n, {"matvec": 2})
 
 
-def fresh_counter(table_id=ADVDIFF_1D, n=10, zeta=1.0) -> OpCounter:
-    return OpCounter(CostTable(table_id, n), zeta=zeta)
+def fresh_counter(n=10) -> OpCounter:
+    """A counter on the advection-diffusion table with state length n."""
+    return OpCounter(CostTable(n, {"matvec": 2}))
 
 
 def dense_from_action(action, dim):

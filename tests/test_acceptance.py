@@ -11,7 +11,7 @@ import statistics
 import numpy as np
 import pytest
 
-from expbench.counting import CostTable, NAVIER_STOKES_2D, OpCounter, use_counter
+from expbench.counting import OpCounter, use_counter
 from expbench.harness import compute_reference, error_norm
 from expbench.integrators import IntegrationError, MethodConfig, integrate
 from expbench.linalg import dense_expm, dense_phi
@@ -166,7 +166,7 @@ def test_criterion_5_cost_model_identities(capsys, advdiff159):
         problem, MethodConfig(method="exprb42-krylov", tau=0.25, tol=1e-4), u0, 1.0
     )
     c = run.counter
-    zeta_ok = c.total_cost(10.0) - c.total_cost(1.0) == 9.0 * c.dot_base_cost()
+    zeta_ok = c.total_cost(10.0) - c.total_cost(1.0) == 9.0 * 2 * problem.n * c.count("dot")
     # (b) one RK4 step on the 1D problem: initial copy 2n, 4 stencil products
     # at 2n each, three 2-vector and one 5-vector combination (9n + 6n) = 25n
     n = problem.n
@@ -174,20 +174,20 @@ def test_criterion_5_cost_model_identities(capsys, advdiff159):
     rk4_ok = (
         rk4.count("matvec") == 4
         and rk4.table.unit_cost("matvec") == 2 * n
-        and rk4.total_cost() == 25 * n
+        and rk4.total_cost(1.0) == 25 * n
     )
     # (c) one rhs evaluation costs 12N, one Jacobian action 21N
     ns_n = 12
     N = ns_n * ns_n
     ns = NavierStokesProblem(ns_n, 1e-4)
-    counter = OpCounter(CostTable(NAVIER_STOKES_2D, N))
+    counter = OpCounter(ns.cost_table())
     with use_counter(counter):
         ns_rhs(ns.initial_state(), ns_n, ns.nu)
-    rhs_cost = counter.total_cost()
-    counter = OpCounter(CostTable(NAVIER_STOKES_2D, N))
+    rhs_cost = counter.total_cost(1.0)
+    counter = OpCounter(ns.cost_table())
     with use_counter(counter):
         ns_linearize(ns.initial_state(), ns_n, ns.nu)(np.ones(3 * N))
-    jac_cost = counter.total_cost()
+    jac_cost = counter.total_cost(1.0)
     ns_ok = rhs_cost == 12 * N and jac_cost == 21 * N
     ok = zeta_ok and rk4_ok and ns_ok
     _report(
@@ -207,12 +207,12 @@ def test_criterion_6_leja_cheaper_at_zeta_10(capsys, advdiff159):
         for backend in ("krylov", "leja"):
             res = integrate(
                 problem,
-                MethodConfig(method=f"{scheme}-{backend}", tau=0.25, tol=1e-7, zeta=10.0),
+                MethodConfig(method=f"{scheme}-{backend}", tau=0.25, tol=1e-7),
                 u0,
                 1.0,
             )
             assert error_norm(res.final_state, reference) < 1e-5
-            costs[backend] = res.counter.total_cost()
+            costs[backend] = res.counter.total_cost(10.0)
         ok = ok and costs["leja"] < costs["krylov"]
         details.append(
             f"{scheme}: leja {costs['leja']:.3g} vs krylov {costs['krylov']:.3g}"

@@ -1,31 +1,29 @@
 import pytest
 
 from expbench import counting
-from expbench.counting import (
-    ADVDIFF_1D,
-    NAVIER_STOKES_2D,
-    CSV_PRIMITIVES,
-    CostTable,
-    CountingError,
-    OpCounter,
-    use_counter,
-)
+from expbench.counting import CSV_PRIMITIVES, CostTable, CountingError, use_counter
 from expbench.linalg import dot, lincomb
+from expbench.problems import AdvDiffProblem, NavierStokesProblem, advdiff_kappa
 
 from conftest import fresh_counter
 
 
-class TestCostTable:
-    def test_unknown_table_rejected(self):
-        with pytest.raises(CountingError):
-            CostTable("unknown", 10)
+def advdiff_table(n):
+    return AdvDiffProblem(n, advdiff_kappa(("const", 1.0 / 80.0))).cost_table()
 
+
+def ns_table(n):
+    return NavierStokesProblem(n, 1e-4).cost_table()
+
+
+class TestCostTable:
     def test_nonpositive_size_rejected(self):
         with pytest.raises(CountingError):
-            CostTable(ADVDIFF_1D, 0)
+            CostTable(0, {"matvec": 2})
 
     def test_1d_unit_costs(self):
-        t = CostTable(ADVDIFF_1D, 159)
+        t = advdiff_table(159)
+        assert t.state_len == 159
         assert t.unit_cost("matvec") == 318  # 2n
         assert t.unit_cost("dot") == 318
         assert t.unit_cost("scale") == 318
@@ -35,7 +33,7 @@ class TestCostTable:
 
     def test_ns_unit_costs(self):
         N = 160 * 160
-        t = CostTable(NAVIER_STOKES_2D, N)
+        t = ns_table(160)
         assert t.state_len == 3 * N
         assert t.unit_cost("jacvec") == 21 * N == 537600
         assert t.unit_cost("rhs") == 12 * N
@@ -45,18 +43,18 @@ class TestCostTable:
 
     def test_primitive_not_in_table(self):
         with pytest.raises(CountingError):
-            CostTable(ADVDIFF_1D, 10).unit_cost("jacvec")
+            advdiff_table(10).unit_cost("jacvec")
         with pytest.raises(CountingError):
-            CostTable(NAVIER_STOKES_2D, 10).unit_cost("matvec")
+            ns_table(10).unit_cost("matvec")
 
     def test_lincomb_requires_k(self):
         with pytest.raises(CountingError):
-            CostTable(ADVDIFF_1D, 10).unit_cost("lincomb")
+            advdiff_table(10).unit_cost("lincomb")
 
 
 class TestOpCounter:
     def test_empty_total_is_zero(self):
-        assert fresh_counter().total_cost() == 0
+        assert fresh_counter().total_cost(1.0) == 0
 
     def test_two_matvecs_one_dot(self):
         c = fresh_counter(n=10)
@@ -67,9 +65,9 @@ class TestOpCounter:
         assert c.total_cost(zeta=10.0) == 240
 
     def test_dot_weighting(self):
-        c = fresh_counter(n=100, zeta=10.0)
+        c = fresh_counter(n=100)
         c.record("dot")
-        assert c.total_cost() == 2000
+        assert c.total_cost(10.0) == 2000
 
     def test_zeta_identity(self):
         c = fresh_counter(n=37)
@@ -77,8 +75,7 @@ class TestOpCounter:
             c.record("dot")
         c.record("matvec")
         c.record("lincomb", k=3)
-        assert c.total_cost(10.0) - c.total_cost(1.0) == 9 * c.dot_base_cost()
-        assert c.dot_base_cost() == 5 * 2 * 37
+        assert c.total_cost(10.0) - c.total_cost(1.0) == 9 * 5 * 2 * 37
 
     def test_invalid_primitive_rejected(self):
         c = fresh_counter()
@@ -95,12 +92,12 @@ class TestOpCounter:
         assert b["matvec"] == 1
         assert b["dot"] == 0
 
-    def test_lincomb_weight_accumulates(self):
+    def test_lincomb_cost_accumulates(self):
         c = fresh_counter(n=10)
         c.record("lincomb", k=2)
         c.record("lincomb", k=5)
-        assert c.lincomb_weight == 3 + 6
-        assert c.total_cost() == (3 + 6) * 10
+        assert c.tally == 3 + 6
+        assert c.total_cost(1.0) == (3 + 6) * 10
 
 
 class TestBulkRecord:
@@ -113,10 +110,10 @@ class TestBulkRecord:
         for zeta in (1.0, 10.0):
             assert bulk.total_cost(zeta) == single.total_cost(zeta)
 
-    def test_lincomb_weight_scales_with_times(self):
+    def test_lincomb_cost_scales_with_times(self):
         c = fresh_counter()
         c.record("lincomb", k=2, times=3)
-        assert c.lincomb_weight == 9
+        assert c.tally == 9
         assert c.count("lincomb") == 3
 
     def test_zero_times_records_nothing(self):
@@ -124,7 +121,7 @@ class TestBulkRecord:
         c.record("dot", times=0)
         c.record("lincomb", k=2, times=0)
         assert c.events == {}
-        assert c.lincomb_weight == 0
+        assert c.tally == 0
 
     def test_invalid_bulk_records_rejected(self):
         c = fresh_counter()
@@ -133,7 +130,7 @@ class TestBulkRecord:
         with pytest.raises(CountingError):
             c.record("jacvec", times=2)
         assert c.events == {}
-        assert c.lincomb_weight == 0
+        assert c.tally == 0
 
     def test_module_record_passes_times_through(self):
         c = fresh_counter()
@@ -141,7 +138,7 @@ class TestBulkRecord:
             counting.record("lincomb", k=3, times=2)
             counting.record("dot", times=4)
         assert c.events == {"lincomb": 2, "dot": 4}
-        assert c.lincomb_weight == 8
+        assert c.tally == 8
 
     def test_module_record_without_counter_is_noop(self):
         assert counting.active_counter() is None
@@ -163,7 +160,7 @@ class TestActiveCounter:
 
         a, b = run(), run()
         assert a.events == b.events
-        assert a.total_cost() == b.total_cost()
+        assert a.total_cost(1.0) == b.total_cost(1.0)
         assert a.count("dot") == 1
         assert a.count("lincomb") == 1
 

@@ -167,9 +167,10 @@ class TestIntegrate:
         c = res.counter
         assert c.count("matvec") == 4
         assert c.count("lincomb") == 4
-        assert c.lincomb_weight == 3 * 3 + 6
         assert c.count("fetch") == c.count("store") == 1
-        assert c.total_cost() == 25 * n
+        # in units of n: matvecs, combinations, copy
+        assert c.tally == 4 * 2 + (3 * 3 + 6) + 2
+        assert c.total_cost(1.0) == 25 * n
 
     def test_counter_determinism(self):
         pb = AdvDiffProblem(32, advdiff_kappa(("const", 1.0 / 80.0)))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expbench import matfunc
-from expbench.counting import ADVDIFF_1D
 from expbench.harness import ExperimentSpec, run_experiment
 from expbench.integrators import METHODS, MethodConfig, PhiConvergenceError, integrate
 from expbench.linalg import (
@@ -127,7 +126,7 @@ class TestArnoldi:
         # _krylov_arnoldi is the one place that enforces the dimension cap
         pb, v, tau, tol = stiff_case()
         assert pb.n > DEFAULT_M_MAX  # no breakdown before the cap
-        c = fresh_counter(ADVDIFF_1D, pb.n)
+        c = fresh_counter(pb.n)
         with use_counter(c), pytest.raises(NotConverged) as exc:
             matfunc._krylov_arnoldi(pb.rhs, v, tau, tol, 1)
         assert exc.value.applies == DEFAULT_M_MAX
@@ -194,7 +193,7 @@ class TestArnoldiMatchesCountedPrimitives:
         for fast, ref in zip(fast_V, V):
             assert np.array_equal(fast, ref)
         assert fast_counter.events == ref_counter.events
-        assert fast_counter.lincomb_weight == ref_counter.lincomb_weight
+        assert fast_counter.tally == ref_counter.tally
 
     def test_operator_of_wrong_length_rejected_before_counting(self):
         V, H, beta = arnoldi_arrays(np.ones(3), 2)
@@ -261,7 +260,7 @@ class TestLejaNewtonMatchesCountedPrimitives:
         else:
             assert fast == ref
         assert fast_counter.events == ref_counter.events
-        assert fast_counter.lincomb_weight == ref_counter.lincomb_weight
+        assert fast_counter.tally == ref_counter.tally
 
     def test_operator_of_wrong_length_rejected_before_lincomb(self):
         counter = fresh_counter(n=3)
@@ -308,7 +307,7 @@ class TestAugmentedOperatorMatchesLincomb:
             fast = op(x)
         assert np.array_equal(fast, ref)
         assert fast_counter.events == ref_counter.events
-        assert fast_counter.lincomb_weight == ref_counter.lincomb_weight
+        assert fast_counter.tally == ref_counter.tally
 
     def test_operator_of_wrong_length_rejected_before_counting(self):
         counter = fresh_counter(n=3)
@@ -352,14 +351,14 @@ class TestKrylovPhiAction:
     def test_iterations_match_matvec_count(self):
         pb = advdiff(30)
         v = np.ones(30)
-        c = fresh_counter(ADVDIFF_1D, 30)
+        c = fresh_counter(30)
         with use_counter(c):
             res = krylov_phi_action(lambda w: pb.rhs(w), 1, 0.1, v, 1e-10)
         assert res.iterations == c.count("matvec")
 
     def test_substepped_iterations_match_matvec_count(self):
         pb, v, tau, tol = stiff_case()
-        c = fresh_counter(ADVDIFF_1D, pb.n)
+        c = fresh_counter(pb.n)
         with use_counter(c):
             res = krylov_phi_action(lambda w: pb.rhs(w), 1, tau, v, tol)
         assert res.substeps > 1
@@ -369,7 +368,7 @@ class TestKrylovPhiAction:
     def test_request_validation(self):
         # bad input raises before any counted work, in either backend
         pb = advdiff(6)
-        c = fresh_counter(ADVDIFF_1D, pb.n)
+        c = fresh_counter(pb.n)
         with use_counter(c):
             for p, tau, tol in ((5, 0.1, 1e-8), (1, -0.1, 1e-8), (1, 0.0, 1e-8), (1, 0.1, 0.0)):
                 with pytest.raises(ValueError):
@@ -573,14 +572,14 @@ class TestLejaPhiAction:
     def test_iterations_match_matvec_count(self):
         pb = advdiff(30)
         v = np.ones(30)
-        c = fresh_counter(ADVDIFF_1D, 30)
+        c = fresh_counter(30)
         with use_counter(c):
             res = leja_phi_action(pb.linearize(), 1, 0.1, v, 1e-10)
         assert res.iterations == c.count("matvec")
 
     def test_substepped_iterations_match_matvec_count(self):
         pb, v, tau, tol = stiff_case()
-        c = fresh_counter(ADVDIFF_1D, pb.n)
+        c = fresh_counter(pb.n)
         with use_counter(c):
             res = leja_phi_action(pb.linearize(), 1, tau, v, tol)
         assert res.substeps > 1
@@ -593,7 +592,7 @@ class TestLejaPhiAction:
         pb = advdiff(30)
         points = default_leja_sequence()[:16]
         monkeypatch.setattr(matfunc, "default_leja_sequence", lambda: points)
-        c = fresh_counter(ADVDIFF_1D, 30)
+        c = fresh_counter(30)
         with use_counter(c):
             res = leja_phi_action(pb.linearize(), 1, 0.1, np.ones(30), 1e-10)
         assert res.substeps > 1
@@ -631,7 +630,7 @@ class TestPhiLinearCombination:
 
     def test_zero_terms_without_leja_bounds_raise(self):
         pb = advdiff(10)
-        c = fresh_counter(ADVDIFF_1D, pb.n)
+        c = fresh_counter(pb.n)
         with use_counter(c):
             with pytest.raises(ValueError):
                 phi_linear_combination(
@@ -663,7 +662,7 @@ class TestPhiLinearCombination:
     @pytest.mark.parametrize("backend", ["krylov", "leja"])
     def test_substepped_iterations_match_matvec_count(self, backend):
         pb, v, tau, tol = stiff_case()
-        c = fresh_counter(ADVDIFF_1D, pb.n)
+        c = fresh_counter(pb.n)
         with use_counter(c):
             res = phi_linear_combination(
                 pb.linearize(),
@@ -685,7 +684,7 @@ class TestPhiLinearCombination:
             phi_linear_combination(pb.rhs, 0.5, [(1, np.ones(6)), (1, np.ones(6))], 1e-8, "krylov")
         with pytest.raises(ValueError):
             phi_linear_combination(pb.rhs, 0.5, [(0, np.ones(6))], 1e-8, "krylov")
-        c = fresh_counter(ADVDIFF_1D, pb.n)
+        c = fresh_counter(pb.n)
         with use_counter(c), pytest.raises(ValueError):
             # pb.rhs has no bounds
             phi_linear_combination(pb.rhs, 0.5, [(1, np.ones(6))], 1e-8, "leja")
@@ -695,7 +694,7 @@ class TestPhiLinearCombination:
     @pytest.mark.parametrize("tol", [0.0, -1.0])
     def test_nonpositive_tol_raises_before_any_work(self, backend, tol):
         pb = advdiff(49)
-        c = fresh_counter(ADVDIFF_1D, pb.n)
+        c = fresh_counter(pb.n)
         with use_counter(c), pytest.raises(ValueError, match="tol must be positive"):
             phi_linear_combination(
                 pb.linearize(), 0.5, [(1, pb.initial_state())], tol, backend=backend
@@ -721,7 +720,7 @@ class TestSubstepping:
     def test_substepped_exponential_counts(self, backend):
         # p = 0 chains substeps of A itself, starting from v uncopied
         pb, v, tau, tol = stiff_case()
-        c = fresh_counter(ADVDIFF_1D, pb.n)
+        c = fresh_counter(pb.n)
         with use_counter(c):
             res = ACTIONS[backend](pb.linearize(), 0, tau, v, tol)
         assert np.array_equal(v, pb.initial_state())
@@ -763,7 +762,7 @@ class TestPhiFailure:
             lambda J: ACTIONS[backend](J, 1, tau, v, tol),
             lambda J: phi_linear_combination(J, tau, [(1, v)], tol, backend),
         ):
-            c = fresh_counter(ADVDIFF_1D, pb.n)
+            c = fresh_counter(pb.n)
             with use_counter(c), pytest.raises(NotConverged) as exc:
                 action(pb.linearize())
             assert exc.value.applies == c.count("matvec") > 0
@@ -805,7 +804,7 @@ class TestCachesUnderThreads:
         v = np.sin(np.arange(20.0))
 
         def run(order):
-            counter = fresh_counter(ADVDIFF_1D, 20)
+            counter = fresh_counter(20)
             results = {}
             with use_counter(counter):
                 for i in order:

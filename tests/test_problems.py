@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from expbench.counting import NAVIER_STOKES_2D
+from expbench.counting import OpCounter
 from expbench.integrators import MethodConfig, integrate
 from expbench.problems import (
     AdvDiffProblem,
@@ -19,7 +19,7 @@ from expbench.problems import (
     vorticity,
 )
 
-from conftest import dense_from_action, fresh_counter, use_counter
+from conftest import dense_from_action, use_counter
 
 
 # Shifted-copy (np.roll) forms of the periodic stencils, the Jacobian action
@@ -194,7 +194,7 @@ class TestFrozenLinearization:
         pb = NavierStokesProblem(n, 1e-4)
         state = perturbed_shear_flow(n, 40 + n)
         w = np.ones(3 * n * n)
-        c = fresh_counter(NAVIER_STOKES_2D, n * n)
+        c = OpCounter(pb.cost_table())
         with use_counter(c):
             applyJ = pb.linearize(state)
             applyJ.bounds  # computing the bounds records nothing either
@@ -202,7 +202,7 @@ class TestFrozenLinearization:
             for calls in (1, 2, 3):
                 applyJ(w)
                 assert c.events == {"jacvec": calls}
-        assert c.total_cost() == 3 * 21 * n * n
+        assert c.total_cost(1.0) == 3 * 21 * n * n
 
     def test_action_stays_frozen_when_the_state_array_changes(self):
         n = 8
@@ -255,10 +255,10 @@ class TestNavierStokesRhs:
     def test_rhs_cost_is_12N(self):
         n = 8
         N = n * n
-        c = fresh_counter(NAVIER_STOKES_2D, N)
+        c = OpCounter(NavierStokesProblem(n, 1e-4).cost_table())
         with use_counter(c):
             ns_rhs(shear_flow_init(n), n, 1e-4)
-        assert c.total_cost() == 12 * N
+        assert c.total_cost(1.0) == 12 * N
 
     def test_finite_difference_consistency_second_order(self):
         n = 8
@@ -292,10 +292,10 @@ class TestNavierStokesJacobian:
     def test_jacvec_cost_is_21N(self):
         n = 8
         N = n * n
-        c = fresh_counter(NAVIER_STOKES_2D, N)
+        c = OpCounter(NavierStokesProblem(n, 1e-4).cost_table())
         with use_counter(c):
             ns_linearize(shear_flow_init(n), n, 1e-4)(np.ones(3 * N))
-        assert c.total_cost() == 21 * N
+        assert c.total_cost(1.0) == 21 * N
 
     def test_spectral_bounds_contain_jacobian_eigenvalues(self):
         n = 8
