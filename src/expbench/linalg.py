@@ -236,7 +236,7 @@ def dense_expm(M, max_dim: int = DEFAULT_DENSE_CAP) -> np.ndarray:
                 setter(n)
 
 
-def dense_phi(M, p: int, max_dim: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def dense_phi(M, p: int) -> np.ndarray:
     """phi_p(M) for p in {0, 1, 2, 3} via the augmented matrix exponential.
 
     exp of the (p+1)-block companion matrix with M in the top-left corner
@@ -248,15 +248,15 @@ def dense_phi(M, p: int, max_dim: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("dense_phi requires a square matrix")
-    if M.shape[0] > max_dim:
-        raise ValueError(f"matrix dimension {M.shape[0]} exceeds cap {max_dim}")
+    if M.shape[0] > DEFAULT_DENSE_CAP:
+        raise ValueError(f"matrix dimension {M.shape[0]} exceeds cap {DEFAULT_DENSE_CAP}")
     if p == 0:
-        return dense_expm(M, max_dim=max_dim)
+        return dense_expm(M)
     n = M.shape[0]
     aug = np.zeros(((p + 1) * n, (p + 1) * n))
     aug[:n, :n] = M
     eye = np.eye(n)
     for k in range(p):
         aug[k * n : (k + 1) * n, (k + 1) * n : (k + 2) * n] = eye
-    E = dense_expm(aug, max_dim=(p + 1) * max_dim)
+    E = dense_expm(aug, max_dim=(p + 1) * DEFAULT_DENSE_CAP)
     return E[:n, p * n : (p + 1) * n]

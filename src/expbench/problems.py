@@ -273,10 +273,11 @@ def ns_linearize(state, n: int, nu: float) -> Linearization:
     return Linearization(apply, bounds)
 
 
-def shear_flow_init(n: int, v0: float = 0.1, d: float = 1.0 / 30.0, delta: float = 5e-3) -> np.ndarray:
+def shear_flow_init(n: int) -> np.ndarray:
     """Shear-flow initial data: rho = 1, tanh velocity layer, sine perturbation."""
     if n < 4:
         raise ValueError("need at least 4 grid points per axis")
+    v0, d, delta = 0.1, 1.0 / 30.0, 5e-3  # layer speed, layer width, perturbation
     h = 1.0 / n
     x = np.arange(n) * h
     y = np.arange(n) * h
