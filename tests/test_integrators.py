@@ -14,6 +14,7 @@ from expbench.integrators import (
     rk4_step,
 )
 from expbench.linalg import dense_expm
+from expbench.matfunc import EVALUATORS
 from expbench.problems import AdvDiffProblem, advdiff_kappa
 
 from conftest import DenseLinearProblem
@@ -126,6 +127,26 @@ class TestLinearizationBounds:
         res = integrate(pb, config, np.ones(4), 0.2)
         assert res.steps_taken == 2
         assert pb.bounds_computed == (2 if config.backend == "leja" else 0)
+
+
+class TestBackendRouting:
+    @pytest.mark.parametrize(
+        "method", [m for m, (_step, backend) in METHODS.items() if backend is not None]
+    )
+    def test_only_the_rows_own_evaluator_runs(self, method, monkeypatch):
+        # every phi action of a step, single or combined, must reach the
+        # evaluator its row names, whatever entry point the step calls
+        ran = []
+        for name, evaluate in list(EVALUATORS.items()):
+            def spy(*args, _name=name, _evaluate=evaluate):
+                ran.append(_name)
+                return _evaluate(*args)
+
+            monkeypatch.setitem(EVALUATORS, name, spy)
+        pb = AdvDiffProblem(31, advdiff_kappa(("const", 1.0 / 80.0)))
+        res = integrate(pb, MethodConfig(method, 0.125, 1e-6), pb.initial_state(), 0.125)
+        assert res.steps_taken == 1
+        assert ran and set(ran) == {METHODS[method][1]}
 
 
 class TestIntegrate:

@@ -24,6 +24,16 @@ def test_every_workload_builds_a_permuted_spec():
         assert sorted(spec.methods) == sorted(METHODS)
 
 
+def test_every_workload_states_one_state_length():
+    # the benchmark recomputes L for its zeta-identity check; it must be the
+    # L the problem's cost table totals with
+    for name in workloads.WORKLOADS:
+        spec = workloads.build_spec(harness, name, 1)
+        problem = harness.build_problem(spec)
+        L = workloads.state_length(spec)
+        assert L == problem.dimension == problem.cost_table().state_len
+
+
 def test_tracer_sees_every_step_and_phi_action():
     spec = harness.ExperimentSpec(
         problem="advdiff",
