@@ -56,7 +56,6 @@ import numpy as np
 from .counting import record
 from .linalg import (
     SpectralBounds,
-    copy_vector,
     dense_expm,
     lincomb,
     norm2,
@@ -270,7 +269,7 @@ def _leja_newton(applyA, x, t, tol_abs, p):
     xi = default_leja_sequence()
     block = min(_DD_BLOCK, len(xi))
     dd = _cached_shifted_dd(xi[:block], c, gamma, t, p)
-    r = copy_vector(x)
+    r = x  # only ever rebound, never written
     y = scale(dd[0], r)
     guard = _DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(x)))
     est = math.inf

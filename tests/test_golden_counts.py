@@ -20,11 +20,11 @@ COUNTED = [c for c in CSV_HEADER.split(",") if c != "error"]
 GRIDS = {
     "advdiff-31": (
         dict(problem="advdiff", n=31, kappa=("const", 1.0 / 80.0), taus=(0.25, 0.125), t_end=0.5),
-        "23063606b338848e77aa1cdf2520494a7f25ae4ca264bedc006598911a2ebf6d",
+        "4af768a57a6039438f8195b6d47b7f60aee40a6b798765f58d32463f5aa1d6aa",
     ),
     "ns-8": (
         dict(problem="ns", n=8, nu=1e-3, taus=(0.25,), t_end=0.5),
-        "c3cee0c92a8eaeb2bfdb840bc800085444e6ea8a1750287c05dafd4e1f48455a",
+        "9baf2d8efe56ff5b4ceeda52605df1bcf4fa4f0caffc8e4ad71e45b38106330a",
     ),
 }
 

@@ -13,7 +13,6 @@ from expbench.integrators import METHODS, MethodConfig, PhiConvergenceError, int
 from expbench.linalg import (
     SpectralBounds,
     build_advdiff_operator,
-    copy_vector,
     dense_phi,
     dot,
     gershgorin_bounds,
@@ -58,19 +57,13 @@ def stiff_case():
 # change to the substep loop cannot move the counted cost unnoticed
 STIFF_COUNTS = {
     "krylov": (485, 4, {"dot": 42635, "lincomb": 42533, "matvec": 485, "scale": 492}),
-    "leja": (
-        564, 4, {"dot": 564, "fetch": 6, "lincomb": 1589, "matvec": 564, "scale": 7, "store": 6}
-    ),
+    "leja": (564, 4, {"dot": 564, "lincomb": 1589, "matvec": 564, "scale": 7}),
     "combination-krylov": (
         505, 4, {"dot": 45063, "lincomb": 45061, "matvec": 505, "scale": 511}
     ),
-    "combination-leja": (
-        588, 4, {"dot": 588, "fetch": 6, "lincomb": 1764, "matvec": 588, "scale": 6, "store": 6}
-    ),
+    "combination-leja": (588, 4, {"dot": 588, "lincomb": 1764, "matvec": 588, "scale": 6}),
     "krylov-p0": (659, 8, {"dot": 48564, "lincomb": 47902, "matvec": 659, "scale": 670}),
-    "leja-p0": (
-        805, 8, {"dot": 805, "fetch": 11, "lincomb": 1610, "matvec": 805, "scale": 11, "store": 11}
-    ),
+    "leja-p0": (805, 8, {"dot": 805, "lincomb": 1610, "matvec": 805, "scale": 11}),
 }
 
 
@@ -211,7 +204,7 @@ def reference_leja_newton(applyA, x, t, tol_abs, p):
     xi = default_leja_sequence()
     block = min(matfunc._DD_BLOCK, len(xi))
     dd = matfunc._cached_shifted_dd(xi[:block], c, gamma, t, p)
-    r = copy_vector(x)
+    r = x
     y = scale(dd[0], r)
     guard = 1e8 * max(1.0, float(np.linalg.norm(x)))
     prev_small = False
