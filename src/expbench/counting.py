@@ -39,7 +39,6 @@ class CountingError(ValueError):
     """Raised when a primitive is recorded against a table that lacks it."""
 
 
-@dataclass(frozen=True)
 class CostTable:
     """Per-primitive memory-operation costs of one problem.
 
@@ -48,14 +47,11 @@ class CostTable:
     of L.  ``units`` merges them with the shared vector costs.
     """
 
-    state_len: int
-    operator_costs: dict
-    units: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.state_len < 1:
+    def __init__(self, state_len: int, operator_costs: dict):
+        if state_len < 1:
             raise CountingError("state length must be positive")
-        object.__setattr__(self, "units", {**_VECTOR_COSTS, **self.operator_costs})
+        self.state_len = state_len
+        self.units = {**_VECTOR_COSTS, **operator_costs}
 
     def weight(self, primitive: str, k: int | None = None) -> int:
         """Cost of one call of ``primitive`` in units of L.
