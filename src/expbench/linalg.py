@@ -31,6 +31,7 @@ import glob
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -104,6 +105,28 @@ class SpectralBounds:
             raise ValueError("real_min > real_max")
         if self.imag_halfwidth < 0:
             raise ValueError("negative imag_halfwidth")
+
+
+class Linearization:
+    """A linear operator with lazily computed spectral bounds.
+
+    ``J(w)`` applies it; ``J.bounds`` is its ``SpectralBounds``, computed by
+    the ``bounds`` thunk on first access and kept, so a caller that never
+    reads them never pays for them.  A problem's ``linearize(u)`` returns
+    the Jacobian frozen at ``u`` as one; ``matfunc`` builds its augmented
+    operator as another.
+    """
+
+    def __init__(self, apply, bounds):
+        self._apply = apply
+        self._bounds = bounds
+
+    def __call__(self, w) -> np.ndarray:
+        return self._apply(w)
+
+    @cached_property
+    def bounds(self) -> SpectralBounds:
+        return self._bounds()
 
 
 @dataclass(frozen=True)

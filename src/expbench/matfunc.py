@@ -21,22 +21,24 @@ The three entry points take plain arguments:
     leja_phi_action(applyA, p, tau, v, tol)
     phi_linear_combination(applyJ, tau, terms, tol, backend)
 
-with ``tol`` an absolute 2-norm accuracy.  One substep loop serves all
-three and checks their arguments before any counted work.  A single phi_p
-action is first tried as one evaluation on A; when that does not converge
-within its budget (Krylov dimension DEFAULT_M_MAX, the DEFAULT_LEJA_COUNT
-points of default_leja_sequence()), the loop chains s equal exponential
-substeps, s = 2, 4, ... up to a cap of 1024, of A (p = 0) or of the
-augmented operator
+with ``tol`` an absolute 2-norm accuracy.  All three check their
+arguments before any counted work and run one substep chain, which
+evaluates exp(tau Op) x0 as s equal substeps and doubles s, up to a cap of
+1024, when an evaluation does not converge within its budget (Krylov
+dimension DEFAULT_M_MAX, the DEFAULT_LEJA_COUNT points of
+default_leja_sequence()).  A phi_0 action is the chain of A from s = 1.  A
+phi_p action with p >= 1 is first tried as one evaluation on A, then as
+the chain from s = 2 of the augmented operator
 
     [[A, W], [0, K]]
 
 whose top block, applied to a padded start vector, yields
 sum_p tau^p phi_p(tau A) w_p.  The phi-linear-combination needed by the
-fourth-order integrator is the same chain from s = 1.  The iteration count
-of a result sums the applications of every evaluation, failed ones included;
-when the chain fails at the cap, the action raises NotConverged with that
-sum.
+fourth-order integrator is the chain of that operator from s = 1.  The
+augmented operator is a ``Linearization``, like a problem's Jacobian, with
+bounds derived lazily from those of A.  The iteration count of a result
+sums the applications of every evaluation, failed ones included; when the
+chain fails at the cap, the action raises NotConverged with that sum.
 
 The Leja points are generated once per process (functools.cache), and the
 shifted divided differences of the last 64 distinct (nodes, interval, t, p)
@@ -55,6 +57,7 @@ import numpy as np
 
 from .counting import record
 from .linalg import (
+    Linearization,
     SpectralBounds,
     dense_expm,
     lincomb,
@@ -168,36 +171,11 @@ def krylov_phi_action(applyA, p: int, tau: float, v, tol: float) -> PhiActionRes
     q = max(p, 1), checked after every extension.  Falls back to substepped,
     chained evaluation when the dimension cap is hit.
     """
-    return _phi_engine(applyA, tau, [(p, v)], tol, "krylov", single=True)
+    return _single_action(applyA, p, tau, v, tol, "krylov")
 
 
 # ---------------------------------------------------------------------------
 # Leja points and divided differences
-
-
-def generate_leja_points(count: int = DEFAULT_LEJA_COUNT) -> tuple:
-    """Greedy (fast-Leja-style) point selection on a candidate grid of
-    max(10 * count, 10000) points over [-2, 2].
-
-    The first three points are fixed to 2, -2, 0; each further point
-    maximizes the product of distances to all previous points, computed in
-    log space to avoid underflow.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    grid = np.linspace(-2.0, 2.0, max(10 * count, 10000))
-    points = [2.0, -2.0, 0.0][:count]
-    logprod = np.zeros_like(grid)
-    with np.errstate(divide="ignore"):
-        for p in points:
-            logprod += np.log(np.abs(grid - p))
-    while len(points) < count:
-        idx = int(np.argmax(logprod))
-        p = float(grid[idx])
-        points.append(p)
-        with np.errstate(divide="ignore"):
-            logprod += np.log(np.abs(grid - p))
-    return tuple(points)
 
 
 def divided_differences_exp(points, scaling: float, p: int = 0) -> np.ndarray:
@@ -241,8 +219,25 @@ def _cached_shifted_dd(xi: tuple, c: float, gamma: float, t: float, p: int) -> n
 
 @functools.cache
 def default_leja_sequence() -> tuple:
-    """The DEFAULT_LEJA_COUNT Leja points of every Leja evaluation."""
-    return generate_leja_points(DEFAULT_LEJA_COUNT)
+    """The DEFAULT_LEJA_COUNT Leja points of every Leja evaluation.
+
+    Greedy (fast-Leja-style) selection on a grid of 10000 points over
+    [-2, 2]: the first three points are 2, -2, 0, and each further point
+    maximizes the product of distances to all previous points, computed in
+    log space to avoid underflow.  Each point depends only on those before
+    it, so the first k points are the k-point sequence.
+    """
+    grid = np.linspace(-2.0, 2.0, 10000)
+    points = [2.0, -2.0, 0.0]
+    logprod = np.zeros_like(grid)
+    with np.errstate(divide="ignore"):
+        for p in points:
+            logprod += np.log(np.abs(grid - p))
+        while len(points) < DEFAULT_LEJA_COUNT:
+            p = float(grid[int(np.argmax(logprod))])
+            points.append(p)
+            logprod += np.log(np.abs(grid - p))
+    return tuple(points)
 
 
 def _leja_interval(bounds: SpectralBounds):
@@ -308,86 +303,66 @@ def leja_phi_action(applyA, p: int, tau: float, v, tol: float) -> PhiActionResul
     tol; halves the substep (doubling the substep count, uniform
     over [0, tau]) and restarts on failure.
     """
-    return _phi_engine(applyA, tau, [(p, v)], tol, "leja", single=True)
+    return _single_action(applyA, p, tau, v, tol, "leja")
 
 
 EVALUATORS = {"krylov": _krylov_arnoldi, "leja": _leja_newton}
 
 
 # ---------------------------------------------------------------------------
-# augmented operator and substepped evaluation
+# augmented operator and substep chain
 
 
-class _AugmentedOperator:
-    """Action of [[A, W], [0, K]] with K the q x q upper-shift nilpotent.
+def _augmented(applyA, dim, terms):
+    """The operator [[A, W], [0, K]], K the q x q upper-shift nilpotent, as a
+    Linearization, and its start vector [0; e_q].
 
     ``terms`` holds (p, w_p) pairs with p >= 1 and q the largest p.
-    exp(tau Aug) applied to [0; e_q] has sum_p tau^p phi_p(tau A) w_p in
-    its top block, with w_p stored in column q - p of W (zero for a p that
-    is not among the terms).
+    exp(tau Aug) [0; e_q] has sum_p tau^p phi_p(tau A) w_p in its top block
+    (Al-Mohy & Higham 2011), with w_p stored in column q - p of W (zero for
+    a p that is not among the terms).  An apply computes the top block as
+    ``lincomb([1, x_bot...], [A x_top, W...])`` would, in its float order,
+    and records that one lincomb.  The bounds are those of A widened by the
+    largest row sum of |W|, computed on first access (only Leja reads them).
     """
+    q = max(p for p, _w in terms)
+    by_p = dict(terms)
+    columns = [by_p.get(q - c, np.zeros(dim)) for c in range(q)]
 
-    def __init__(self, applyA, dim, terms):
-        self.applyA = applyA
-        self.dim = dim
-        self.q = max(p for p, _w in terms)
-        by_p = dict(terms)
-        self.columns = [by_p.get(self.q - c, np.zeros(dim)) for c in range(self.q)]
-
-    def start_vector(self) -> np.ndarray:
-        x = np.zeros(self.dim + self.q)
-        x[-1] = 1.0
-        return x
-
-    def __call__(self, x):
-        """[A x_top + sum_i x_bot[i] W[:, i]; K x_bot], with the top block
-        computed as ``lincomb([1, x_bot...], [A x_top, W...])`` would, in
-        its float order, and recorded as that one lincomb."""
-        dim = self.dim
-        top = np.asarray(self.applyA(x[:dim]), dtype=float)
+    def apply(x):
+        top = np.asarray(applyA(x[:dim]), dtype=float)
         if top.shape != (dim,):
             raise ValueError("length mismatch in lincomb")
-        record("lincomb", k=self.q + 1)
-        out = np.empty(dim + self.q)
+        record("lincomb", k=q + 1)
+        out = np.empty(dim + q)
         np.multiply(1.0, top, out=out[:dim])
-        for i, col in enumerate(self.columns):
+        for i, col in enumerate(columns):
             out[:dim] += x[dim + i] * col
         out[dim:-1] = x[dim + 1 :]
         out[-1] = 0.0
         return out
 
-    @functools.cached_property
-    def bounds(self) -> SpectralBounds:
-        """Gershgorin bounds of the augmented operator from those of A,
-        computed on first access (only Leja reads them)."""
-        inner = self.applyA.bounds
-        W = np.column_stack(self.columns)
-        extra = float(np.max(np.sum(np.abs(W), axis=1)))
+    def bounds():
+        inner = applyA.bounds
+        extra = float(np.max(np.sum(np.abs(np.column_stack(columns)), axis=1)))
         return SpectralBounds(
             real_min=min(inner.real_min - extra, -1.0),
             real_max=max(inner.real_max + extra, 1.0),
             imag_halfwidth=max(inner.imag_halfwidth + extra, 1.0),
         )
 
+    x0 = np.zeros(dim + q)
+    x0[-1] = 1.0
+    return Linearization(apply, bounds), x0
 
-def _phi_engine(applyA, tau, terms, tol, backend, single):
-    """sum_p tau^p phi_p(tau A) w_p over ``terms`` by the substep loop.
 
-    The loop chains s equal exponential substeps of the augmented operator,
-    s = 1, 2, 4, ... up to SUBSTEP_CAP.  With ``single`` the one term (p, v)
-    yields phi_p(tau A) v instead: one direct evaluation on A comes first,
-    then the chain (of A itself when p = 0) from s = 2.  Its final tau^-p
-    rescaling amplifies absolute errors, so the chained tolerance is
-    tightened to tol * min(tau, 1)^p.
-
-    Every argument is checked here, before any counted work.  Raises
-    NotConverged with every application spent when the chain fails at
-    SUBSTEP_CAP.
-    """
+def _check(applyA, tau, terms, tol, backend, indices):
+    """Reject bad arguments before any counted work; returns ``terms`` with
+    float arrays.  ``indices`` are the admissible phi indices."""
     ps = [p for p, _w in terms]
     if not ps:
         raise ValueError("terms must be non-empty")
-    if any(p not in ((0, 1, 2, 3) if single else (1, 2, 3)) for p in ps):
+    if any(p not in indices for p in ps):
         raise ValueError(f"unsupported phi indices {ps}")
     if len(set(ps)) != len(ps):
         raise ValueError("phi indices must be distinct")
@@ -399,28 +374,17 @@ def _phi_engine(applyA, tau, terms, tol, backend, single):
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "leja" and not hasattr(applyA, "bounds"):
         raise ValueError("leja backend requires an operator with spectral bounds")
-    terms = [(p, np.asarray(w, dtype=float)) for p, w in terms]
-    dim = terms[0][1].size
-    if max(float(np.linalg.norm(w)) for _p, w in terms) == 0.0:
-        return PhiActionResult(np.zeros(dim), 0, 1, 0.0)
+    return [(p, np.asarray(w, dtype=float)) for p, w in terms]
 
-    evaluate = EVALUATORS[backend]
-    applies = 0
-    s = 1
-    if single:
-        [(p, v)] = terms
-        try:
-            y, applies, est = evaluate(applyA, v, tau, tol, p)
-            return PhiActionResult(y, applies, 1, est)
-        except NotConverged as exc:
-            applies = exc.applies
-        s = 2
-        tol = tol * min(tau, 1.0) ** p
-    if single and p == 0:
-        op, x0 = applyA, v
-    else:
-        op = _AugmentedOperator(applyA, dim, terms)
-        x0 = op.start_vector()
+
+def _chain(evaluate, op, x0, tau, tol, dim, s, applies):
+    """exp(tau op) x0 as s chained equal substeps, each one evaluation;
+    s doubles on failure, up to SUBSTEP_CAP.
+
+    Returns the top ``dim`` entries, with ``applies`` (the applications
+    already spent) plus every application of the chain.  Raises NotConverged
+    with that sum when the chain fails at SUBSTEP_CAP.
+    """
     while s <= SUBSTEP_CAP:
         y = x0
         try:
@@ -431,17 +395,41 @@ def _phi_engine(applyA, tau, terms, tol, backend, single):
             applies += exc.applies
             s *= 2
             continue
-        y = y[:dim]
-        if single and p > 0:
-            y = scale(tau ** (-p), y)
-        return PhiActionResult(y, applies, s, est)
+        return PhiActionResult(y[:dim], applies, s, est)
     raise NotConverged(applies)
 
 
+def _single_action(applyA, p, tau, v, tol, backend) -> PhiActionResult:
+    """phi_p(tau A) v for krylov_phi_action and leja_phi_action.  The final
+    tau^-p rescaling of p >= 1 amplifies absolute errors, so its chained
+    tolerance is tightened to tol * min(tau, 1)^p."""
+    [(p, v)] = _check(applyA, tau, [(p, v)], tol, backend, (0, 1, 2, 3))
+    if float(np.linalg.norm(v)) == 0.0:
+        return PhiActionResult(np.zeros(v.size), 0, 1, 0.0)
+    evaluate = EVALUATORS[backend]
+    if p == 0:
+        return _chain(evaluate, applyA, v, tau, tol, v.size, 1, 0)
+    try:
+        y, applies, est = evaluate(applyA, v, tau, tol, p)
+        return PhiActionResult(y, applies, 1, est)
+    except NotConverged as exc:
+        applies = exc.applies
+    op, x0 = _augmented(applyA, v.size, [(p, v)])
+    result = _chain(evaluate, op, x0, tau, tol * min(tau, 1.0) ** p, v.size, 2, applies)
+    result.y = scale(tau ** (-p), result.y)
+    return result
+
+
 def phi_linear_combination(applyJ, tau: float, terms, tol: float, backend: str) -> PhiActionResult:
-    """sum_p tau^p phi_p(tau J) w_p in one augmented-operator evaluation.
+    """sum_p tau^p phi_p(tau J) w_p: the chain of the augmented operator
+    from s = 1.
 
     ``terms`` is a list of (p, w) pairs with distinct p in 1..3; the "leja"
     backend reads ``applyJ.bounds``.
     """
-    return _phi_engine(applyJ, tau, terms, tol, backend, single=False)
+    terms = _check(applyJ, tau, terms, tol, backend, (1, 2, 3))
+    dim = terms[0][1].size
+    if max(float(np.linalg.norm(w)) for _p, w in terms) == 0.0:
+        return PhiActionResult(np.zeros(dim), 0, 1, 0.0)
+    op, x0 = _augmented(applyJ, dim, terms)
+    return _chain(EVALUATORS[backend], op, x0, tau, tol, dim, 1, 0)

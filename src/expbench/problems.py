@@ -10,7 +10,7 @@
 
 Both expose the interface the integrators expect: ``rhs``, ``linearize``,
 ``initial_state``, ``dimension``, ``cost_table``.  ``linearize(u)`` returns
-a ``Linearization``: calling it applies the Jacobian frozen at ``u`` (one
+a ``linalg.Linearization``: calling it applies the Jacobian frozen at ``u`` (one
 counted Jacobian event per call, its state-dependent terms computed once),
 and its ``bounds`` are the Gershgorin box of that Jacobian, computed on
 first access and never counted.
@@ -19,12 +19,12 @@ first access and never counted.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
 from .counting import CostTable, record
 from .linalg import (
+    Linearization,
     SpectralBounds,
     StencilOperator1D,
     apply_operator,
@@ -35,26 +35,6 @@ from .linalg import (
 
 class NonPositiveDensityError(RuntimeError):
     """Density lost positivity; the run is unstable and must be reported."""
-
-
-class Linearization:
-    """The Jacobian frozen at a state.
-
-    ``J(w)`` applies it; ``J.bounds`` is its Gershgorin ``SpectralBounds``,
-    computed by the ``bounds`` thunk on first access and kept, so a step
-    that never reads them never pays for them.
-    """
-
-    def __init__(self, apply, bounds):
-        self._apply = apply
-        self._bounds = bounds
-
-    def __call__(self, w) -> np.ndarray:
-        return self._apply(w)
-
-    @cached_property
-    def bounds(self) -> SpectralBounds:
-        return self._bounds()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 import numpy as np
 
 from expbench.counting import CostTable, OpCounter, use_counter
-from expbench.linalg import gershgorin_bounds
-from expbench.problems import Linearization
+from expbench.linalg import Linearization, gershgorin_bounds
 
 
 class DenseLinearProblem:

@@ -11,6 +11,7 @@ from expbench import matfunc
 from expbench.harness import ExperimentSpec, run_experiment
 from expbench.integrators import METHODS, MethodConfig, PhiConvergenceError, integrate
 from expbench.linalg import (
+    Linearization,
     SpectralBounds,
     build_advdiff_operator,
     dense_phi,
@@ -27,13 +28,12 @@ from expbench.matfunc import (
     arnoldi_extend,
     default_leja_sequence,
     divided_differences_exp,
-    generate_leja_points,
     hessenberg_phi_e1,
     krylov_phi_action,
     leja_phi_action,
     phi_linear_combination,
 )
-from expbench.problems import AdvDiffProblem, Linearization, NavierStokesProblem, advdiff_kappa
+from expbench.problems import AdvDiffProblem, NavierStokesProblem, advdiff_kappa
 
 from conftest import dense_from_action, fresh_counter, use_counter
 
@@ -266,12 +266,14 @@ class TestLejaNewtonMatchesCountedPrimitives:
         assert counter.count("lincomb") == 0
 
 
-def reference_augmented_apply(op, x):
-    """_AugmentedOperator.__call__ through the counted lincomb."""
-    top = op.applyA(x[: op.dim])
-    top = lincomb([1.0] + [x[op.dim + i] for i in range(op.q)], [top] + op.columns)
-    bot = np.zeros(op.q)
-    bot[:-1] = x[op.dim + 1 :]
+def reference_augmented_apply(applyA, dim, terms, x):
+    """The augmented operator's apply through the counted lincomb."""
+    q = max(p for p, _w in terms)
+    by_p = dict(terms)
+    columns = [by_p.get(q - c, np.zeros(dim)) for c in range(q)]
+    top = lincomb([1.0] + [x[dim + i] for i in range(q)], [applyA(x[:dim])] + columns)
+    bot = np.zeros(q)
+    bot[:-1] = x[dim + 1 :]
     return np.concatenate([top, bot])
 
 
@@ -291,11 +293,12 @@ class TestAugmentedOperatorMatchesLincomb:
             return rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
 
         terms = [(p, wide(dim)) for p in sorted(ps)]
-        op = matfunc._AugmentedOperator(lambda w: A @ w, dim, terms)
-        x = wide(dim + op.q)
+        op, x0 = matfunc._augmented(lambda w: A @ w, dim, terms)
+        assert x0.size == dim + max(ps) and x0[-1] == 1.0 and not x0[:-1].any()
+        x = wide(x0.size)
         ref_counter, fast_counter = fresh_counter(n=dim), fresh_counter(n=dim)
         with use_counter(ref_counter):
-            ref = reference_augmented_apply(op, x)
+            ref = reference_augmented_apply(lambda w: A @ w, dim, terms, x)
         with use_counter(fast_counter):
             fast = op(x)
         assert np.array_equal(fast, ref)
@@ -304,10 +307,10 @@ class TestAugmentedOperatorMatchesLincomb:
 
     def test_operator_of_wrong_length_rejected_before_counting(self):
         counter = fresh_counter(n=3)
-        op = matfunc._AugmentedOperator(lambda w: np.ones(4), 3, [(1, np.ones(3))])
+        op, x0 = matfunc._augmented(lambda w: np.ones(4), 3, [(1, np.ones(3))])
         with use_counter(counter):
             with pytest.raises(ValueError):
-                op(op.start_vector())
+                op(x0)
         assert counter.events == {}
 
 
@@ -373,11 +376,10 @@ class TestKrylovPhiAction:
 
 class TestLejaPoints:
     def test_first_three_points_fixed(self):
-        seq = generate_leja_points(8)
-        assert seq[:3] == (2.0, -2.0, 0.0)
+        assert default_leja_sequence()[:3] == (2.0, -2.0, 0.0)
 
     def test_fourth_point_maximizes_distance_product(self):
-        seq = generate_leja_points(8)
+        seq = default_leja_sequence()
         # maximizer of |x-2| |x+2| |x| on [-2, 2] is +-2/sqrt(3)
         assert abs(abs(seq[3]) - 2.0 / math.sqrt(3.0)) < 1e-3
         grid = np.linspace(-2.0, 2.0, 1_000_001)
@@ -385,14 +387,11 @@ class TestLejaPoints:
         assert abs(abs(seq[3]) - abs(brute)) < 1e-3
 
     def test_points_in_interval_without_duplicates(self):
-        seq = generate_leja_points(64)
+        seq = default_leja_sequence()
         pts = np.asarray(seq)
+        assert len(seq) == matfunc.DEFAULT_LEJA_COUNT
         assert np.all(pts >= -2.0) and np.all(pts <= 2.0)
         assert len(set(seq)) == len(seq)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            generate_leja_points(0)
 
 
 class TestDividedDifferences:
@@ -414,7 +413,7 @@ class TestDividedDifferences:
         assert dd[1] == pytest.approx((math.exp(1.0) - math.exp(-1.0)) / 4.0)
 
     def test_against_naive_recurrence(self):
-        pts = np.asarray(generate_leja_points(8))
+        pts = np.asarray(default_leja_sequence()[:8])
         dd = divided_differences_exp(pts, 1.0, p=0)
         naive = np.exp(pts).astype(float)
         for j in range(1, len(pts)):
