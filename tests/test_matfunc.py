@@ -220,7 +220,7 @@ def reference_leja_newton(applyA, x, t, tol_abs, p):
         if not math.isfinite(est) or rnorm > guard:
             return j
         small = est <= tol_abs
-        if small and prev_small and j >= 2:
+        if small and prev_small:
             return y, j, est
         prev_small = small
     return len(xi) - 1
@@ -312,6 +312,38 @@ class TestAugmentedOperatorMatchesLincomb:
             with pytest.raises(ValueError):
                 op(x0)
         assert counter.events == {}
+
+
+class TestAugmentedOperatorBounds:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(1, 30),
+        ps=st.sets(st.integers(1, 3), min_size=1),
+        scale_a=st.floats(1e-3, 1e3),
+        scale_w=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bounds_contain_gershgorin_box_and_spectrum(self, dim, ps, scale_a, scale_w, seed):
+        # the bounds come from A's box widened by W's row sums; they must
+        # hold the box of the assembled matrix and every eigenvalue of it,
+        # up to a relative slack for the order of the row sums
+        rng = np.random.default_rng(seed)
+        A = scale_a * rng.standard_normal((dim, dim))
+        terms = [(p, scale_w * rng.standard_normal(dim)) for p in sorted(ps)]
+        op, x0 = matfunc._augmented(
+            Linearization(lambda w: A @ w, lambda: gershgorin_bounds(A)), dim, terms
+        )
+        bounds = op.bounds
+        M = dense_from_action(op, x0.size)
+        box = gershgorin_bounds(M)
+        slack = 1e-12 * max(abs(bounds.real_min), abs(bounds.real_max), bounds.imag_halfwidth)
+        assert bounds.real_min - slack <= box.real_min
+        assert box.real_max <= bounds.real_max + slack
+        assert box.imag_halfwidth <= bounds.imag_halfwidth + slack
+        eig = np.linalg.eigvals(M)
+        assert np.all(bounds.real_min - slack <= eig.real)
+        assert np.all(eig.real <= bounds.real_max + slack)
+        assert np.all(np.abs(eig.imag) <= bounds.imag_halfwidth + slack)
 
 
 class TestKrylovPhiAction:
