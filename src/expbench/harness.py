@@ -18,7 +18,7 @@ import numpy as np
 
 from .counting import CSV_PRIMITIVES
 from .integrators import IntegrationError, MethodConfig, METHODS, integrate, rk4_step
-from .linalg import dense_expm
+from .linalg import DEFAULT_DENSE_CAP, dense_expm
 from .problems import AdvDiffProblem, NavierStokesProblem, advdiff_kappa
 
 CSV_HEADER = ",".join(
@@ -88,8 +88,8 @@ def error_norm(u, ref) -> float:
 def compute_reference(problem, t_end: float, tau_hint: float | None = None) -> np.ndarray:
     """Reference solution at t_end.
 
-    Linear 1D problem: exact dense propagator exp(t_end L) u0;
-    dense_expm rejects n > 512 with ValueError.
+    Linear 1D problem: exact dense propagator exp(t_end L) u0, for at
+    most DEFAULT_DENSE_CAP (512) points; more raise ValueError.
     Navier-Stokes: uncounted RK4 with successively halved step sizes until
     two references differ by less than 1e-10 in relative l2.
     """
@@ -97,6 +97,8 @@ def compute_reference(problem, t_end: float, tau_hint: float | None = None) -> n
     if t_end == 0.0:
         return u0
     if isinstance(problem, AdvDiffProblem):
+        if problem.n > DEFAULT_DENSE_CAP:
+            raise ValueError(f"problem dimension {problem.n} exceeds cap {DEFAULT_DENSE_CAP}")
         L = problem.operator.to_dense()
         return dense_expm(t_end * L) @ u0
     tau = (tau_hint if tau_hint is not None else t_end / 64.0) / 16.0

@@ -240,14 +240,12 @@ _BLAS_THREAD_SETTERS = _blas_thread_setters()
 _BLAS_THREAD_LOCK = threading.Lock()
 
 
-def dense_expm(M, max_dim: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def dense_expm(M) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring (Pade approximant), on
     one BLAS thread."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("dense_expm requires a square matrix")
-    if M.shape[0] > max_dim:
-        raise ValueError(f"matrix dimension {M.shape[0]} exceeds cap {max_dim}")
     if M.shape[0] == 0:
         return np.zeros((0, 0))
     with _BLAS_THREAD_LOCK:
@@ -281,5 +279,5 @@ def dense_phi(M, p: int) -> np.ndarray:
     eye = np.eye(n)
     for k in range(p):
         aug[k * n : (k + 1) * n, (k + 1) * n : (k + 2) * n] = eye
-    E = dense_expm(aug, max_dim=(p + 1) * DEFAULT_DENSE_CAP)
+    E = dense_expm(aug)
     return E[:n, p * n : (p + 1) * n]

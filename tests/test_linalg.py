@@ -141,8 +141,6 @@ class TestDenseExpm:
     def test_validation(self):
         with pytest.raises(ValueError):
             dense_expm(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            dense_expm(np.zeros((600, 600)))
 
 
 class TestDensePhi:
