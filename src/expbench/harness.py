@@ -48,10 +48,14 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        if any(t <= 0 for t in self.taus):
-            raise ValueError("tau values must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in self.taus):
+            raise ValueError("tau values must be finite and positive")
+        if not all(math.isfinite(t) and t > 0 for t in self.tols):
+            raise ValueError("tol values must be finite and positive")
+        if not all(math.isfinite(z) and z >= 0 for z in self.zetas):
+            raise ValueError("zeta values must be finite and non-negative")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError("t_end must be finite and positive")
 
 
 @dataclass

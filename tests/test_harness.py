@@ -50,6 +50,30 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             small_spec(t_end=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # none of these can run: a negative zeta gives a negative
+            # total_cost and a nan one a nan cost, tol 0 fails only after
+            # the reference solve, and nan slips past a ``<= 0`` check
+            ("zetas", (1.0, -5.0), "zeta"),
+            ("zetas", (math.nan,), "zeta"),
+            ("zetas", (math.inf,), "zeta"),
+            ("tols", (1e-4, 0.0), "tol"),
+            ("tols", (math.nan,), "tol"),
+            ("tols", (math.inf,), "tol"),
+            ("taus", (math.nan,), "tau"),
+            ("taus", (math.inf,), "tau"),
+            ("t_end", math.nan, "t_end"),
+        ],
+    )
+    def test_rejects_grid_values_it_cannot_run(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            small_spec(**{field: value})
+
+    def test_zero_zeta_is_a_valid_weight(self):
+        assert small_spec(zetas=(0.0,)).zetas == (0.0,)
+
     def test_build_problem(self):
         assert isinstance(build_problem(small_spec()), AdvDiffProblem)
         assert isinstance(
