@@ -5,7 +5,7 @@ import pytest
 
 from expbench.linalg import norm2, scale
 from expbench.matfunc import arnoldi_extend
-from expbench.problems import AdvDiffProblem, advdiff_kappa
+from expbench.problems import AdvDiffProblem
 
 N_ADVDIFF = 159
 
@@ -29,4 +29,4 @@ def arnoldi():
 @pytest.fixture(scope="session")
 def advdiff():
     """The diffusion preset's operator: n = 159, kappa = 1/80."""
-    return AdvDiffProblem(N_ADVDIFF, advdiff_kappa(("const", 1.0 / 80.0)))
+    return AdvDiffProblem(N_ADVDIFF, ("const", 1.0 / 80.0))

@@ -27,7 +27,7 @@ from .harness import (
 from .integrators import METHODS, IntegrationError, MethodConfig, integrate
 from .linalg import dense_phi
 from .matfunc import NotConverged, krylov_phi_action, leja_phi_action
-from .problems import AdvDiffProblem, advdiff_kappa
+from .problems import AdvDiffProblem
 
 
 def _parse_kappa(text: str):
@@ -113,8 +113,8 @@ def selftest() -> int:
     failures = 0
     for n in (16, 32):
         for kappa in (1.0 / 80.0, 1.0 / 2560.0):
-            problem = AdvDiffProblem(n, advdiff_kappa(("const", kappa)))
-            dense = problem.operator.to_dense()
+            problem = AdvDiffProblem(n, ("const", kappa))
+            dense = problem.to_dense()
             v = rng.standard_normal(n)
             for tau in (1.0 / 64.0, 1.0 / 4.0):
                 for p in (0, 1, 3):

@@ -19,7 +19,7 @@ import numpy as np
 from .counting import CSV_PRIMITIVES
 from .integrators import IntegrationError, MethodConfig, METHODS, integrate, rk4_step
 from .linalg import DEFAULT_DENSE_CAP, dense_expm
-from .problems import AdvDiffProblem, NavierStokesProblem, advdiff_kappa
+from .problems import AdvDiffProblem, NavierStokesProblem
 
 CSV_HEADER = ",".join(
     ("method", "tau", "tol", "zeta", "error", "total_cost", "steps", *CSV_PRIMITIVES, "converged")
@@ -73,7 +73,7 @@ class WorkPrecisionRecord:
 
 def build_problem(spec: ExperimentSpec):
     if spec.problem == "advdiff":
-        return AdvDiffProblem(spec.n, advdiff_kappa(spec.kappa))
+        return AdvDiffProblem(spec.n, spec.kappa)
     return NavierStokesProblem(spec.n, spec.nu)
 
 
@@ -103,8 +103,7 @@ def compute_reference(problem, t_end: float, tau_hint: float | None = None) -> n
     if isinstance(problem, AdvDiffProblem):
         if problem.n > DEFAULT_DENSE_CAP:
             raise ValueError(f"problem dimension {problem.n} exceeds cap {DEFAULT_DENSE_CAP}")
-        L = problem.operator.to_dense()
-        return dense_expm(t_end * L) @ u0
+        return dense_expm(t_end * problem.to_dense()) @ u0
     tau = (tau_hint if tau_hint is not None else t_end / 64.0) / 16.0
     prev = None
     while True:

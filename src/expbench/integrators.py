@@ -71,11 +71,11 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.tau <= 0:
+        if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be positive")
         if self.backend is None:
             self.tol = None
-        elif self.tol is None or self.tol <= 0:
+        elif self.tol is None or not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("exponential methods require a positive tol")
 
     @property

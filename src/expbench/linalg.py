@@ -1,5 +1,5 @@
-"""Counted vector primitives, finite-difference stencils and dense matrix
-functions.
+"""Counted vector primitives, the counted tridiagonal product, Gershgorin
+bounds and dense matrix functions.
 
 State vectors are plain 1D numpy arrays.  The functions ``dot``, ``norm2``,
 ``scale``, ``lincomb`` and ``copy_vector`` record their memory cost on the
@@ -89,7 +89,7 @@ def copy_vector(u) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference stencil operator
+# operators and their spectral bounds
 
 
 @dataclass(frozen=True)
@@ -129,86 +129,21 @@ class Linearization:
         return self._bounds()
 
 
-@dataclass(frozen=True)
-class StencilOperator1D:
-    """Tridiagonal operator L = -(A_h + B_h) on n interior Dirichlet points.
-
-    sub/diag/sup hold the per-row stencil coefficients; sub[0] and sup[-1]
-    are never referenced (boundary values vanish).
-    """
-
-    n: int
-    h: float
-    kappa: np.ndarray
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-
-    def to_dense(self) -> np.ndarray:
-        M = np.diag(self.diag)
-        idx = np.arange(self.n - 1)
-        M[idx + 1, idx] = self.sub[1:]
-        M[idx, idx + 1] = self.sup[:-1]
-        return M
-
-    def gershgorin_rows(self):
-        r = np.zeros(self.n)
-        r[:-1] += np.abs(self.sup[:-1])
-        r[1:] += np.abs(self.sub[1:])
-        return self.diag.copy(), r
-
-
-def build_advdiff_operator(n: int, kappa_fn) -> StencilOperator1D:
-    """Discretize -(A_h + B_h) for u' = kappa u_xx - u_x, Dirichlet, n points.
-
-    Interior row i of the operator: sub-diagonal kappa_i/h^2 + 1/(2h),
-    diagonal -2 kappa_i/h^2, super-diagonal kappa_i/h^2 - 1/(2h).
-    """
-    if n < 1:
-        raise ValueError("need at least one interior grid point")
-    h = 1.0 / (n + 1)
-    x = (np.arange(n) + 1) * h
-    kappa = np.asarray([float(kappa_fn(xi)) for xi in x])
-    if np.any(kappa <= 0.0):
-        raise ValueError("diffusion coefficient must be positive on the grid")
-    c = kappa / h**2
-    a = 1.0 / (2.0 * h)
-    return StencilOperator1D(
-        n=n,
-        h=h,
-        kappa=kappa,
-        sub=c + a,
-        diag=-2.0 * c,
-        sup=c - a,
-    )
-
-
-def apply_operator(L: StencilOperator1D, u) -> np.ndarray:
-    """Counted stencil matrix-vector product L u."""
+def apply_operator(sub, diag, sup, u) -> np.ndarray:
+    """Counted tridiagonal matrix-vector product; row i of the matrix is
+    (sub[i], diag[i], sup[i]), and sub[0] and sup[-1] are never referenced."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (L.n,):
-        raise ValueError(f"expected vector of length {L.n}, got {u.shape}")
+    if u.shape != diag.shape:
+        raise ValueError(f"expected vector of length {diag.size}, got {u.shape}")
     record("matvec")
-    y = L.diag * u
-    y[1:] += L.sub[1:] * u[:-1]
-    y[:-1] += L.sup[:-1] * u[1:]
+    y = diag * u
+    y[1:] += sub[1:] * u[:-1]
+    y[:-1] += sup[:-1] * u[1:]
     return y
 
 
-def gershgorin_bounds(op) -> SpectralBounds:
-    """Bounding box of all Gershgorin discs of ``op``.
-
-    Accepts anything with a ``gershgorin_rows() -> (diag, radius)`` method,
-    or a square dense matrix.
-    """
-    if hasattr(op, "gershgorin_rows"):
-        d, r = op.gershgorin_rows()
-    else:
-        M = np.asarray(op, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("expected a square matrix or a stencil operator")
-        d = np.diag(M).copy()
-        r = np.abs(M).sum(axis=1) - np.abs(d)
+def gershgorin_bounds(d, r) -> SpectralBounds:
+    """Bounding box of the Gershgorin discs with centres ``d`` and radii ``r``."""
     return SpectralBounds(
         real_min=float(np.min(d - r)),
         real_max=float(np.max(d + r)),

@@ -366,9 +366,9 @@ def _check(applyA, tau, terms, tol, backend, indices):
         raise ValueError(f"unsupported phi indices {ps}")
     if len(set(ps)) != len(ps):
         raise ValueError("phi indices must be distinct")
-    if tau <= 0:
+    if not (math.isfinite(tau) and tau > 0):
         raise ValueError("tau must be positive")
-    if tol <= 0:
+    if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive")
     if backend not in EVALUATORS:
         raise ValueError(f"unknown backend {backend!r}")

@@ -23,14 +23,7 @@ import math
 import numpy as np
 
 from .counting import CostTable, record
-from .linalg import (
-    Linearization,
-    SpectralBounds,
-    StencilOperator1D,
-    apply_operator,
-    build_advdiff_operator,
-    gershgorin_bounds,
-)
+from .linalg import Linearization, apply_operator, gershgorin_bounds
 
 
 class NonPositiveDensityError(RuntimeError):
@@ -41,7 +34,7 @@ class NonPositiveDensityError(RuntimeError):
 # 1D advection-diffusion
 
 
-def advdiff_kappa(profile):
+def _kappa_fn(profile):
     """Diffusion-coefficient function for a named profile.
 
     ``("const", c)`` gives kappa = c; ``"mixed"`` gives the tanh profile
@@ -57,16 +50,43 @@ def advdiff_kappa(profile):
 
 
 class AdvDiffProblem:
-    """u_t = kappa(x) u_xx - u_x on (0,1), Dirichlet, u0 = x(1-x)."""
+    """u_t = kappa(x) u_xx - u_x on (0,1), Dirichlet, u0 = x(1-x).
 
-    def __init__(self, n: int, kappa_fn):
+    ``kappa`` is a profile, ``("const", c)`` or ``"mixed"``.  On n interior
+    points with h = 1/(n+1), row i of the tridiagonal operator has the
+    sub-diagonal kappa_i/h^2 + 1/(2h), the diagonal -2 kappa_i/h^2 and the
+    super-diagonal kappa_i/h^2 - 1/(2h); ``sub[0]`` and ``sup[-1]`` are
+    never referenced (boundary values vanish).
+    """
+
+    def __init__(self, n: int, kappa):
+        if n < 1:
+            raise ValueError("need at least one interior grid point")
+        kappa_fn = _kappa_fn(kappa)
         self.n = n
-        self.operator: StencilOperator1D = build_advdiff_operator(n, kappa_fn)
-        self.h = self.operator.h
-        x = (np.arange(n) + 1) * self.h
+        h = 1.0 / (n + 1)
+        x = (np.arange(n) + 1) * h
+        k = np.asarray([float(kappa_fn(xi)) for xi in x])
+        if not np.all(np.isfinite(k) & (k > 0.0)):
+            raise ValueError("diffusion coefficient must be finite and positive on the grid")
+        c = k / h**2
+        a = 1.0 / (2.0 * h)
+        self.sub, self.diag, self.sup = c + a, -2.0 * c, c - a
         self._u0 = x * (1.0 - x)
-        bounds = gershgorin_bounds(self.operator)
-        self._jacobian = Linearization(lambda w: apply_operator(self.operator, w), lambda: bounds)
+        self._jacobian = Linearization(self.rhs, self._gershgorin)
+
+    def _gershgorin(self):
+        r = np.zeros(self.n)
+        r[:-1] += np.abs(self.sup[:-1])
+        r[1:] += np.abs(self.sub[1:])
+        return gershgorin_bounds(self.diag, r)
+
+    def to_dense(self) -> np.ndarray:
+        M = np.diag(self.diag)
+        idx = np.arange(self.n - 1)
+        M[idx + 1, idx] = self.sub[1:]
+        M[idx, idx + 1] = self.sup[:-1]
+        return M
 
     @property
     def dimension(self) -> int:
@@ -76,7 +96,7 @@ class AdvDiffProblem:
         return self._u0.copy()
 
     def rhs(self, u) -> np.ndarray:
-        return apply_operator(self.operator, u)
+        return apply_operator(self.sub, self.diag, self.sup, u)
 
     def linearize(self, u=None) -> Linearization:
         """w -> A w with its bounds; A does not depend on the state."""
@@ -242,13 +262,7 @@ def ns_linearize(state, n: int, nu: float) -> Linearization:
         r2 = np.abs(dxr) / rho2 + irh + auh + avh + np.abs(dyu) + nu4h2
         d3 = -dyv - nu4h2
         r3 = np.abs(dyr) / rho2 + irh + avh + auh + np.abs(dxv) + nu4h2
-        d = _join(d1, d2, d3)
-        r = _join(r1, r2, r3)
-        return SpectralBounds(
-            real_min=float(np.min(d - r)),
-            real_max=float(np.max(d + r)),
-            imag_halfwidth=float(np.max(r)),
-        )
+        return gershgorin_bounds(_join(d1, d2, d3), _join(r1, r2, r3))
 
     return Linearization(apply, bounds)
 
@@ -285,6 +299,8 @@ class NavierStokesProblem:
     def __init__(self, n: int, nu: float):
         if n < 4:
             raise ValueError("need at least 4 grid points per axis")
+        if not (math.isfinite(nu) and nu >= 0):
+            raise ValueError("viscosity nu must be finite and non-negative")
         self.n = n
         self.N = n * n
         self.nu = float(nu)

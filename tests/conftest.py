@@ -28,7 +28,7 @@ class DenseLinearProblem:
     def linearize(self, u=None) -> Linearization:
         def bounds():
             self.bounds_computed += 1
-            return gershgorin_bounds(self.M)
+            return dense_gershgorin(self.M)
 
         return Linearization(lambda w: self.M @ np.asarray(w, dtype=float), bounds)
 
@@ -39,6 +39,14 @@ class DenseLinearProblem:
 def fresh_counter(n=10) -> OpCounter:
     """A counter on the advection-diffusion table with state length n."""
     return OpCounter(CostTable(n, {"matvec": 2}))
+
+
+def dense_gershgorin(M):
+    """Gershgorin box of a square dense matrix: centres on the diagonal,
+    radii the off-diagonal absolute row sums."""
+    M = np.asarray(M, dtype=float)
+    d = np.diag(M).copy()
+    return gershgorin_bounds(d, np.abs(M).sum(axis=1) - np.abs(d))
 
 
 def dense_from_action(action, dim):
@@ -54,6 +62,7 @@ def dense_from_action(action, dim):
 __all__ = [
     "DenseLinearProblem",
     "dense_from_action",
+    "dense_gershgorin",
     "fresh_counter",
     "use_counter",
 ]

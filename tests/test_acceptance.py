@@ -19,7 +19,6 @@ from expbench.matfunc import krylov_phi_action, leja_phi_action
 from expbench.problems import (
     AdvDiffProblem,
     NavierStokesProblem,
-    advdiff_kappa,
     ns_linearize,
     ns_rhs,
 )
@@ -36,8 +35,8 @@ def _report(capsys, num: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def advdiff159():
-    problem = AdvDiffProblem(159, advdiff_kappa(("const", 1.0 / 80.0)))
-    reference = dense_expm(1.0 * problem.operator.to_dense()) @ problem.initial_state()
+    problem = AdvDiffProblem(159, ("const", 1.0 / 80.0))
+    reference = dense_expm(1.0 * problem.to_dense()) @ problem.initial_state()
     return problem, reference
 
 
@@ -51,9 +50,9 @@ def test_criterion_1_oracle_equivalence(capsys):
     worst = 0.0
     for n in (16, 32, 64):
         for kappa in (1.0 / 80.0, 1.0 / 2560.0):
-            problem = AdvDiffProblem(n, advdiff_kappa(("const", kappa)))
+            problem = AdvDiffProblem(n, ("const", kappa))
             J = problem.linearize()
-            dense = problem.operator.to_dense()
+            dense = problem.to_dense()
             v = rng.standard_normal(n)
             for tau in (1.0 / 64.0, 1.0 / 4.0):
                 for p in (0, 1, 3):

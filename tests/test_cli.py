@@ -49,6 +49,25 @@ class TestParser:
 
 
 class TestEndToEnd:
+    @pytest.mark.parametrize(
+        "problem_args",
+        [
+            ["--problem", "advdiff", "--kappa", "const:nan", "--n", "16"],
+            ["--problem", "advdiff", "--kappa", "const:inf", "--n", "16"],
+            ["--problem", "ns", "--nu", "nan", "--n", "8"],
+            ["--problem", "ns", "--nu", "inf", "--n", "8"],
+        ],
+    )
+    def test_non_finite_coefficient_rejected_before_the_sweep(self, tmp_path, capsys, problem_args):
+        out = tmp_path / "run.csv"
+        code = main(
+            ["run", *problem_args, "--methods", "rk4", "--tau", "0.01",
+             "--t-end", "0.01", "--out", str(out)]
+        )
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_writes_csv(self, tmp_path):
         out = tmp_path / "run.csv"
         code = main(

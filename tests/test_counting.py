@@ -3,13 +3,13 @@ import pytest
 from expbench import counting
 from expbench.counting import CSV_PRIMITIVES, CostTable, CountingError, use_counter
 from expbench.linalg import dot, lincomb
-from expbench.problems import AdvDiffProblem, NavierStokesProblem, advdiff_kappa
+from expbench.problems import AdvDiffProblem, NavierStokesProblem
 
 from conftest import fresh_counter
 
 
 def advdiff_table(n):
-    return AdvDiffProblem(n, advdiff_kappa(("const", 1.0 / 80.0))).cost_table()
+    return AdvDiffProblem(n, ("const", 1.0 / 80.0)).cost_table()
 
 
 def ns_table(n):

@@ -112,7 +112,7 @@ class TestComputeReference:
     def test_linear_problem_uses_exact_propagator(self):
         pb = build_problem(small_spec())
         ref = compute_reference(pb, 0.5)
-        exact = dense_expm(0.5 * pb.operator.to_dense()) @ pb.initial_state()
+        exact = dense_expm(0.5 * pb.to_dense()) @ pb.initial_state()
         assert np.allclose(ref, exact, atol=1e-14)
 
     def test_dense_reference_rejects_more_than_512_points(self):

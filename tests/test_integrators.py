@@ -15,7 +15,7 @@ from expbench.integrators import (
 )
 from expbench.linalg import dense_expm
 from expbench.matfunc import EVALUATORS
-from expbench.problems import AdvDiffProblem, advdiff_kappa
+from expbench.problems import AdvDiffProblem
 
 from conftest import DenseLinearProblem
 
@@ -52,6 +52,12 @@ class TestMethodConfig:
             MethodConfig(method="rk2", tau=-0.1)
         with pytest.raises(ValueError):
             MethodConfig(method="exprb42-leja", tau=0.1)  # missing tol
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                MethodConfig(method="rk4", tau=tau)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive tol"):
+                MethodConfig(method="exprb-euler-krylov", tau=0.25, tol=tol)
 
 
 class TestRungeKuttaSteps:
@@ -101,10 +107,10 @@ class TestRungeKuttaSteps:
 class TestExponentialSteps:
     @pytest.mark.parametrize("backend", ["krylov", "leja"])
     def test_single_step_matches_exact_propagator(self, backend):
-        pb = AdvDiffProblem(40, advdiff_kappa(("const", 1.0 / 80.0)))
+        pb = AdvDiffProblem(40, ("const", 1.0 / 80.0))
         u0 = pb.initial_state()
         tau, tol = 0.125, 1e-9
-        exact = dense_expm(tau * pb.operator.to_dense()) @ u0
+        exact = dense_expm(tau * pb.to_dense()) @ u0
         for step in (exprb_euler_step, exprb42_step):
             u1 = step(pb, u0, tau, tol, backend)
             assert np.linalg.norm(u1 - exact) / np.linalg.norm(exact) <= 10 * tol
@@ -143,7 +149,7 @@ class TestBackendRouting:
                 return _evaluate(*args)
 
             monkeypatch.setitem(EVALUATORS, name, spy)
-        pb = AdvDiffProblem(31, advdiff_kappa(("const", 1.0 / 80.0)))
+        pb = AdvDiffProblem(31, ("const", 1.0 / 80.0))
         res = integrate(pb, MethodConfig(method, 0.125, 1e-6), pb.initial_state(), 0.125)
         assert res.steps_taken == 1
         assert ran and set(ran) == {METHODS[method][1]}
@@ -151,12 +157,12 @@ class TestBackendRouting:
 
 class TestIntegrate:
     def test_t_end_equal_tau_is_one_step(self):
-        pb = AdvDiffProblem(16, advdiff_kappa(("const", 1.0 / 80.0)))
+        pb = AdvDiffProblem(16, ("const", 1.0 / 80.0))
         res = integrate(pb, MethodConfig(method="rk4", tau=0.25), pb.initial_state(), 0.25)
         assert res.steps_taken == 1
 
     def test_final_partial_step_is_shortened(self):
-        pb = AdvDiffProblem(16, advdiff_kappa(("const", 1.0 / 80.0)))
+        pb = AdvDiffProblem(16, ("const", 1.0 / 80.0))
         u0 = pb.initial_state()
         res = integrate(pb, MethodConfig(method="rk4", tau=0.1), u0, 0.25)
         assert res.steps_taken == 3
@@ -167,12 +173,12 @@ class TestIntegrate:
         assert np.allclose(res.final_state, u, rtol=1e-12, atol=1e-14)
 
     def test_invalid_t_end(self):
-        pb = AdvDiffProblem(8, advdiff_kappa(("const", 1.0 / 80.0)))
+        pb = AdvDiffProblem(8, ("const", 1.0 / 80.0))
         with pytest.raises(ValueError):
             integrate(pb, MethodConfig(method="rk2", tau=0.1), pb.initial_state(), 0.0)
 
     def test_explicit_method_instability_detected(self):
-        pb = AdvDiffProblem(159, advdiff_kappa(("const", 1.0 / 80.0)))
+        pb = AdvDiffProblem(159, ("const", 1.0 / 80.0))
         with pytest.raises(InstabilityError) as excinfo:
             integrate(pb, MethodConfig(method="rk2", tau=0.25), pb.initial_state(), 1.0)
         assert excinfo.value.counter is not None
@@ -183,7 +189,7 @@ class TestIntegrate:
         # 4 stencil products (4 * 2n), three 2-vector combinations for the
         # stage states (3 * 3n) and one 5-vector combination (6n): 25n total
         n = 159
-        pb = AdvDiffProblem(n, advdiff_kappa(("const", 1.0 / 80.0)))
+        pb = AdvDiffProblem(n, ("const", 1.0 / 80.0))
         res = integrate(pb, MethodConfig(method="rk4", tau=0.25), pb.initial_state(), 0.25)
         c = res.counter
         assert c.count("matvec") == 4
@@ -194,7 +200,7 @@ class TestIntegrate:
         assert c.total_cost(1.0) == 25 * n
 
     def test_counter_determinism(self):
-        pb = AdvDiffProblem(32, advdiff_kappa(("const", 1.0 / 80.0)))
+        pb = AdvDiffProblem(32, ("const", 1.0 / 80.0))
         cfg = MethodConfig(method="exprb-euler-krylov", tau=0.25, tol=1e-7)
         a = integrate(pb, cfg, pb.initial_state(), 1.0)
         b = integrate(pb, cfg, pb.initial_state(), 1.0)
@@ -202,7 +208,7 @@ class TestIntegrate:
         assert np.array_equal(a.final_state, b.final_state)
 
     def test_diagnostics_present_for_exponential_methods(self):
-        pb = AdvDiffProblem(32, advdiff_kappa(("const", 1.0 / 80.0)))
+        pb = AdvDiffProblem(32, ("const", 1.0 / 80.0))
         cfg = MethodConfig(method="exprb42-krylov", tau=0.5, tol=1e-7)
         res = integrate(pb, cfg, pb.initial_state(), 1.0)
         assert len(res.diagnostics) == res.steps_taken
@@ -211,7 +217,7 @@ class TestIntegrate:
 
 class TestJacobianLinearity:
     def test_advdiff_jacobian_linearity(self):
-        pb = AdvDiffProblem(24, advdiff_kappa("mixed"))
+        pb = AdvDiffProblem(24, "mixed")
         rng = np.random.default_rng(6)
         u = rng.standard_normal(24)
         w1 = rng.standard_normal(24)

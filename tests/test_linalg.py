@@ -6,7 +6,6 @@ import pytest
 from expbench.linalg import (
     SpectralBounds,
     apply_operator,
-    build_advdiff_operator,
     dense_expm,
     dense_phi,
     dot,
@@ -15,26 +14,29 @@ from expbench.linalg import (
     norm2,
     scale,
 )
-from expbench.problems import advdiff_kappa
+from expbench.problems import AdvDiffProblem
 
-from conftest import fresh_counter, use_counter
+from conftest import dense_from_action, dense_gershgorin, fresh_counter, use_counter
 
 
-def small_operator():
-    return build_advdiff_operator(3, advdiff_kappa(("const", 1.0 / 80.0)))
+def small_problem():
+    return AdvDiffProblem(3, ("const", 1.0 / 80.0))
+
+
+def apply(pb, u):
+    return apply_operator(pb.sub, pb.diag, pb.sup, u)
 
 
 class TestBuildOperator:
     def test_three_point_stencil_values(self):
         # n=3, kappa=1/80, h=1/4: kappa/h^2 = 0.2, 1/(2h) = 2
-        op = small_operator()
-        assert op.h == 0.25
-        assert np.allclose(op.sub, 2.2)
-        assert np.allclose(op.diag, -0.4)
-        assert np.allclose(op.sup, -1.8)
+        pb = small_problem()
+        assert np.allclose(pb.sub, 2.2)
+        assert np.allclose(pb.diag, -0.4)
+        assert np.allclose(pb.sup, -1.8)
 
     def test_dense_assembly(self):
-        M = small_operator().to_dense()
+        M = small_problem().to_dense()
         expected = np.array(
             [[-0.4, -1.8, 0.0], [2.2, -0.4, -1.8], [0.0, 2.2, -0.4]]
         )
@@ -42,41 +44,51 @@ class TestBuildOperator:
 
     def test_invalid_sizes_and_coefficients(self):
         with pytest.raises(ValueError):
-            build_advdiff_operator(0, lambda x: 1.0)
+            AdvDiffProblem(0, ("const", 1.0))
         with pytest.raises(ValueError):
-            build_advdiff_operator(3, lambda x: 0.0)
+            AdvDiffProblem(3, ("const", 0.0))
         with pytest.raises(ValueError):
-            build_advdiff_operator(3, lambda x: -1.0)
+            AdvDiffProblem(3, ("const", -1.0))
 
     def test_variable_coefficient_sampled_on_grid(self):
-        op = build_advdiff_operator(3, lambda x: x)
-        assert np.allclose(op.kappa, [0.25, 0.5, 0.75])
+        # h = 1/4, so diag = -2 kappa(x_i) / h^2 = -32 kappa(x_i) exactly
+        pb = AdvDiffProblem(3, "mixed")
+        x = (0.25, 0.5, 0.75)
+        kappa = [33.0 / 5120.0 + 31.0 / 5120.0 * math.tanh(20.0 * xi - 16.0) for xi in x]
+        assert np.array_equal(pb.diag, -32.0 * np.array(kappa))
 
 
 class TestApplyOperator:
     def test_first_unit_vector(self):
-        y = apply_operator(small_operator(), np.array([1.0, 0.0, 0.0]))
+        y = apply(small_problem(), np.array([1.0, 0.0, 0.0]))
         assert np.allclose(y, [-0.4, 2.2, 0.0])
 
     def test_zero_vector(self):
-        y = apply_operator(small_operator(), np.zeros(3))
+        y = apply(small_problem(), np.zeros(3))
         assert np.all(y == 0.0)
 
     def test_matches_dense(self):
-        op = build_advdiff_operator(17, advdiff_kappa("mixed"))
+        pb = AdvDiffProblem(17, "mixed")
         rng = np.random.default_rng(0)
         u = rng.standard_normal(17)
-        assert np.allclose(apply_operator(op, u), op.to_dense() @ u, atol=1e-13)
+        assert np.allclose(apply(pb, u), pb.to_dense() @ u, atol=1e-13)
+
+    @pytest.mark.parametrize("profile", [("const", 1.0 / 80.0), "mixed"])
+    @pytest.mark.parametrize("n", [31, 159])
+    def test_dense_matrix_is_the_applied_one(self, n, profile):
+        # the exact 1D reference exponentiates to_dense(); the sweep applies rhs
+        pb = AdvDiffProblem(n, profile)
+        assert np.array_equal(dense_from_action(pb.rhs, n), pb.to_dense())
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            apply_operator(small_operator(), np.zeros(4))
+            apply(small_problem(), np.zeros(4))
 
     def test_cost_is_2n(self):
-        op = build_advdiff_operator(159, advdiff_kappa(("const", 1.0 / 80.0)))
+        pb = AdvDiffProblem(159, ("const", 1.0 / 80.0))
         c = fresh_counter(159)
         with use_counter(c):
-            apply_operator(op, np.zeros(159))
+            apply(pb, np.zeros(159))
         assert c.total_cost(1.0) == 318
 
 
@@ -173,20 +185,28 @@ class TestDensePhi:
 
 class TestGershgorin:
     def test_three_point_operator(self):
-        b = gershgorin_bounds(small_operator())
+        b = small_problem().linearize().bounds
         assert b.real_min == pytest.approx(-4.4)
         assert b.real_max == pytest.approx(3.6)
         assert b.imag_halfwidth == pytest.approx(4.0)
 
+    def test_centres_and_radii(self):
+        b = gershgorin_bounds(np.array([-1.0, 2.0]), np.array([0.5, 3.0]))
+        assert (b.real_min, b.real_max, b.imag_halfwidth) == (-1.5, 5.0, 3.0)
+
     def test_diagonal_matrix(self):
-        b = gershgorin_bounds(np.diag([-1.0, -2.0]))
+        b = dense_gershgorin(np.diag([-1.0, -2.0]))
         assert (b.real_min, b.real_max, b.imag_halfwidth) == (-2.0, -1.0, 0.0)
 
     def test_contains_all_eigenvalues(self):
         for n, profile in ((16, ("const", 1.0 / 80.0)), (64, "mixed")):
-            op = build_advdiff_operator(n, advdiff_kappa(profile))
-            b = gershgorin_bounds(op)
-            lam = np.linalg.eigvals(op.to_dense())
+            pb = AdvDiffProblem(n, profile)
+            b = pb.linearize().bounds
+            dense = dense_gershgorin(pb.to_dense())
+            assert b.real_min == pytest.approx(dense.real_min, rel=1e-14)
+            assert b.real_max == pytest.approx(dense.real_max, rel=1e-14)
+            assert b.imag_halfwidth == pytest.approx(dense.imag_halfwidth, rel=1e-14)
+            lam = np.linalg.eigvals(pb.to_dense())
             assert np.all(lam.real >= b.real_min - 1e-12)
             assert np.all(lam.real <= b.real_max + 1e-12)
             assert np.all(np.abs(lam.imag) <= b.imag_halfwidth + 1e-12)

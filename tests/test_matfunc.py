@@ -13,10 +13,8 @@ from expbench.integrators import METHODS, MethodConfig, PhiConvergenceError, int
 from expbench.linalg import (
     Linearization,
     SpectralBounds,
-    build_advdiff_operator,
     dense_phi,
     dot,
-    gershgorin_bounds,
     lincomb,
     norm2,
     scale,
@@ -33,13 +31,13 @@ from expbench.matfunc import (
     leja_phi_action,
     phi_linear_combination,
 )
-from expbench.problems import AdvDiffProblem, NavierStokesProblem, advdiff_kappa
+from expbench.problems import AdvDiffProblem, NavierStokesProblem
 
-from conftest import dense_from_action, fresh_counter, use_counter
+from conftest import dense_from_action, dense_gershgorin, fresh_counter, use_counter
 
 
 def advdiff(n, kappa=1.0 / 80.0):
-    return AdvDiffProblem(n, advdiff_kappa(("const", kappa)))
+    return AdvDiffProblem(n, ("const", kappa))
 
 
 ACTIONS = {"krylov": krylov_phi_action, "leja": leja_phi_action}
@@ -106,7 +104,7 @@ class TestArnoldi:
 
     def test_arnoldi_relation_and_orthonormality(self):
         pb = advdiff(12)
-        A = pb.operator.to_dense()
+        A = pb.to_dense()
         v = np.random.default_rng(5).standard_normal(12)
         V, H, beta = arnoldi_arrays(v, 6)
         for j in range(6):
@@ -331,11 +329,11 @@ class TestAugmentedOperatorBounds:
         A = scale_a * rng.standard_normal((dim, dim))
         terms = [(p, scale_w * rng.standard_normal(dim)) for p in sorted(ps)]
         op, x0 = matfunc._augmented(
-            Linearization(lambda w: A @ w, lambda: gershgorin_bounds(A)), dim, terms
+            Linearization(lambda w: A @ w, lambda: dense_gershgorin(A)), dim, terms
         )
         bounds = op.bounds
         M = dense_from_action(op, x0.size)
-        box = gershgorin_bounds(M)
+        box = dense_gershgorin(M)
         slack = 1e-12 * max(abs(bounds.real_min), abs(bounds.real_max), bounds.imag_halfwidth)
         assert bounds.real_min - slack <= box.real_min
         assert box.real_max <= bounds.real_max + slack
@@ -368,7 +366,7 @@ class TestKrylovPhiAction:
     @pytest.mark.parametrize("p", [0, 1, 3])
     def test_dense_oracle_n50(self, p):
         pb = advdiff(50)
-        dense = pb.operator.to_dense()
+        dense = pb.to_dense()
         rng = np.random.default_rng(8)
         v = rng.standard_normal(50)
         tau = 0.25
@@ -398,7 +396,10 @@ class TestKrylovPhiAction:
         pb = advdiff(6)
         c = fresh_counter(pb.n)
         with use_counter(c):
-            for p, tau, tol in ((5, 0.1, 1e-8), (1, -0.1, 1e-8), (1, 0.0, 1e-8), (1, 0.1, 0.0)):
+            for p, tau, tol in (
+                (5, 0.1, 1e-8), (1, -0.1, 1e-8), (1, 0.0, 1e-8), (1, 0.1, 0.0),
+                (1, math.nan, 1e-8), (1, math.inf, 1e-8), (1, 0.1, math.nan), (1, 0.1, math.inf),
+            ):
                 with pytest.raises(ValueError):
                     krylov_phi_action(pb.rhs, p, tau, np.ones(6), tol)
                 with pytest.raises(ValueError):
@@ -529,7 +530,7 @@ class TestHessenbergPhi:
     def test_stiff_diffusion_hessenberg(self):
         # Hessenberg matrix of a stiff operator: ||tau H|| ~ 300
         pb = advdiff(60, kappa=1.0)
-        A = pb.operator.to_dense()
+        A = pb.to_dense()
         _V, H, m, _extended = run_arnoldi(lambda w: A @ w, np.ones(60), 30)
         assert m == 30
         H = H[:30, :30]
@@ -558,7 +559,7 @@ class TestLejaPhiAction:
     @pytest.mark.parametrize("p", [0, 1, 3])
     def test_dense_oracle_n50(self, p):
         pb = advdiff(50)
-        dense = pb.operator.to_dense()
+        dense = pb.to_dense()
         rng = np.random.default_rng(9)
         v = rng.standard_normal(50)
         tau = 0.25
@@ -668,7 +669,7 @@ class TestPhiLinearCombination:
     @pytest.mark.parametrize("backend", ["krylov", "leja"])
     def test_two_term_combination_against_per_term_oracle(self, backend):
         pb = advdiff(20)
-        dense = pb.operator.to_dense()
+        dense = pb.to_dense()
         rng = np.random.default_rng(13)
         w1 = rng.standard_normal(20)
         w3 = rng.standard_normal(20)
@@ -708,6 +709,9 @@ class TestPhiLinearCombination:
             phi_linear_combination(pb.rhs, 0.5, [(1, np.ones(6)), (1, np.ones(6))], 1e-8, "krylov")
         with pytest.raises(ValueError):
             phi_linear_combination(pb.rhs, 0.5, [(0, np.ones(6))], 1e-8, "krylov")
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                phi_linear_combination(pb.rhs, tau, [(1, np.ones(6))], 1e-8, "krylov")
         c = fresh_counter(pb.n)
         with use_counter(c), pytest.raises(ValueError):
             # pb.rhs has no bounds
@@ -715,7 +719,7 @@ class TestPhiLinearCombination:
         assert c.events == {}
 
     @pytest.mark.parametrize("backend", ["krylov", "leja"])
-    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_tol_raises_before_any_work(self, backend, tol):
         pb = advdiff(49)
         c = fresh_counter(pb.n)
@@ -730,7 +734,7 @@ class TestSubstepping:
     def test_stiff_step_falls_back_to_substeps_and_stays_accurate(self):
         # large tau * spectral radius forces the substepped path
         pb = advdiff(159)
-        dense = pb.operator.to_dense()
+        dense = pb.to_dense()
         v = pb.initial_state()
         tau = 1.0
         oracle = dense_phi(tau * dense, 1) @ v
@@ -748,7 +752,7 @@ class TestSubstepping:
         with use_counter(c):
             res = ACTIONS[backend](pb.linearize(), 0, tau, v, tol)
         assert np.array_equal(v, pb.initial_state())
-        assert np.linalg.norm(res.y - dense_phi(tau * pb.operator.to_dense(), 0) @ v) <= 1e-7
+        assert np.linalg.norm(res.y - dense_phi(tau * pb.to_dense(), 0) @ v) <= 1e-7
         assert res.iterations == c.count("matvec")
         assert (res.iterations, res.substeps, c.events) == STIFF_COUNTS[f"{backend}-p0"]
 

@@ -6,16 +6,80 @@ through anything other than the module globals escapes the tracer, and the
 traced step count then reads 0 although every CSV stays the same.
 """
 
+import importlib
 import sys
+import types
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from expbench import harness
 from expbench.integrators import METHODS
+from expbench.problems import AdvDiffProblem
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
+
+
+# (layer module, name) of every function whose spans a per-layer metric
+# counts: the tracer wraps only public functions defined in their layer
+# module, so a name that moved out of it would make its metric read 0
+TRACED = (
+    [("linalg", f) for f in spans.PRIMITIVES]
+    + [("matfunc", f) for f in spans.PHI_FUNCS]
+    + [("integrators", f) for f in spans.STEP_FUNCS]
+    + [
+        ("problems", "ns_rhs"),
+        ("harness", "compute_reference"),
+        ("integrators", "integrate"),
+        ("matfunc", "arnoldi_extend"),
+        ("matfunc", "divided_differences_exp"),
+        ("linalg", "dense_phi"),
+        ("counting", "record"),
+    ]
+)
+
+# what worker.py and workloads.py call by attribute
+CALLED = (
+    ("harness", "preset"),
+    ("harness", "build_problem"),
+    ("harness", "compute_reference"),
+    ("harness", "run_experiment"),
+    ("harness", "write_csv"),
+    ("harness", "read_csv"),
+    ("matfunc", "default_leja_sequence"),
+)
+
+
+@pytest.mark.parametrize("layer,name", TRACED)
+def test_traced_name_is_a_public_function_of_its_layer(layer, name):
+    assert layer in spans.LAYERS
+    module = importlib.import_module(f"expbench.{layer}")
+    obj = getattr(module, name, None)
+    assert isinstance(obj, types.FunctionType)
+    assert obj.__module__ == module.__name__
+
+
+@pytest.mark.parametrize("layer,name", CALLED)
+def test_name_the_worker_calls_exists(layer, name):
+    module = importlib.import_module(f"expbench.{layer}")
+    assert callable(getattr(module, name, None))
+
+
+def test_tracer_sees_the_1d_operator_of_a_problem_built_before_install():
+    # the worker builds the problem before it installs the tracer
+    pb = AdvDiffProblem(16, "mixed")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        pb.rhs(np.ones(16))
+        pb.linearize()(np.ones(16))
+    finally:
+        tracer.uninstall()
+    assert tracer.layer_metrics()["linalg.apply_operator.calls"] == 2
 
 
 def test_every_workload_builds_a_permuted_spec():

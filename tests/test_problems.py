@@ -10,9 +10,9 @@ from expbench.problems import (
     NavierStokesProblem,
     NonPositiveDensityError,
     _dx,
+    _kappa_fn,
     _dy,
     _lap,
-    advdiff_kappa,
     ns_linearize,
     ns_rhs,
     shear_flow_init,
@@ -129,28 +129,43 @@ def lopsided_velocity_state(n):
 
 class TestKappaProfiles:
     def test_mixed_midpoint_value(self):
-        k = advdiff_kappa("mixed")
+        k = _kappa_fn("mixed")
         assert k(0.8) == pytest.approx(33.0 / 5120.0)
 
     def test_mixed_asymptotic_values(self):
-        k = advdiff_kappa("mixed")
+        k = _kappa_fn("mixed")
         assert k(0.0) == pytest.approx(1.0 / 2560.0, rel=1e-9)
         assert k(1.0) == pytest.approx(1.0 / 80.0, rel=1e-3)
 
     def test_const_profile(self):
-        k = advdiff_kappa(("const", 0.125))
+        k = _kappa_fn(("const", 0.125))
         assert k(0.3) == 0.125
 
     def test_invalid_profile(self):
         with pytest.raises(ValueError):
-            advdiff_kappa("upwind")
+            AdvDiffProblem(3, "upwind")
 
 
 class TestAdvDiffProblem:
     def test_initial_condition_parabola(self):
-        pb = AdvDiffProblem(3, advdiff_kappa(("const", 1.0 / 80.0)))
+        pb = AdvDiffProblem(3, ("const", 1.0 / 80.0))
         x = np.array([0.25, 0.5, 0.75])
         assert np.allclose(pb.initial_state(), x * (1.0 - x))
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kappa_rejected(self, c):
+        with pytest.raises(ValueError, match="finite and positive"):
+            AdvDiffProblem(31, ("const", c))
+
+
+class TestNavierStokesProblem:
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -1e-6])
+    def test_non_finite_or_negative_nu_rejected(self, nu):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            NavierStokesProblem(8, nu)
+
+    def test_zero_nu_accepted(self):
+        assert NavierStokesProblem(8, 0.0).nu == 0.0
 
 
 class TestPeriodicStencils:
@@ -222,7 +237,7 @@ class TestFrozenLinearization:
             NavierStokesProblem(n, 1e-4).linearize(state)
 
     def test_advdiff_linearization_is_the_rhs_operator(self):
-        pb = AdvDiffProblem(12, advdiff_kappa("mixed"))
+        pb = AdvDiffProblem(12, "mixed")
         rng = np.random.default_rng(52)
         applyJ = pb.linearize(rng.standard_normal(12))
         w = rng.standard_normal(12)
