@@ -123,10 +123,6 @@ def use_counter(counter: OpCounter | None):
         _ACTIVE.reset(token)
 
 
-def active_counter() -> OpCounter | None:
-    return _ACTIVE.get()
-
-
 def record(primitive: str, k: int | None = None, times: int = 1) -> None:
     """Record ``times`` events on the active counter, if any."""
     counter = _ACTIVE.get()

@@ -14,7 +14,7 @@ the others require a positive one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class RunResult:
     final_state: np.ndarray
     counter: OpCounter
     steps_taken: int
-    diagnostics: list = field(default_factory=list)
 
 
 def rk2_step(problem, u, tau: float) -> np.ndarray:
@@ -129,7 +128,7 @@ def _step_scale(u) -> float:
     return unorm if unorm > 0.0 else 1.0
 
 
-def exprb_euler_step(problem, u, tau: float, tol: float, backend: str, stats=None) -> np.ndarray:
+def exprb_euler_step(problem, u, tau: float, tol: float, backend: str) -> np.ndarray:
     """u + tau * phi_1(tau J) F(u).
 
     tol is the per-step relative error allowance; the phi evaluation receives
@@ -138,13 +137,10 @@ def exprb_euler_step(problem, u, tau: float, tol: float, backend: str, stats=Non
     f = problem.rhs(u)
     tol_phi = _PHI_SAFETY * tol * _step_scale(u) / tau
     J = problem.linearize(u)
-    res = _phi_action(J, 1, tau, f, tol_phi, backend)
-    if stats is not None:
-        stats.append(res)
-    return lincomb([1.0, tau], [u, res.y])
+    return lincomb([1.0, tau], [u, _phi_action(J, 1, tau, f, tol_phi, backend).y])
 
 
-def exprb42_step(problem, u, tau: float, tol: float, backend: str, stats=None) -> np.ndarray:
+def exprb42_step(problem, u, tau: float, tol: float, backend: str) -> np.ndarray:
     """Two-stage fourth-order exponential Rosenbrock step.
 
     Stage:  U2 = u + (3/4) tau phi_1((3/4) tau J) F(u)   (direct phi_1 action)
@@ -165,9 +161,6 @@ def exprb42_step(problem, u, tau: float, tol: float, backend: str, stats=None) -
     gdiff = lincomb([1.0, -1.0, -1.0], [f2, f, jdU])
     w3 = scale(32.0 / (9.0 * tau**2), gdiff)
     combo = phi_linear_combination(J, tau, [(1, f), (3, w3)], tol_abs, backend)
-    if stats is not None:
-        stats.append(stage)
-        stats.append(combo)
     return lincomb([1.0, 1.0], [u, combo.y])
 
 
@@ -183,7 +176,6 @@ def integrate(problem, config: MethodConfig, u0, t_end: float) -> RunResult:
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     counter = OpCounter(problem.cost_table())
-    diagnostics = []
     steps = 0
     step_name, backend = METHODS[config.method]
     step = globals()[step_name]
@@ -196,21 +188,12 @@ def integrate(problem, config: MethodConfig, u0, t_end: float) -> RunResult:
         try:
             while t < t_end * (1.0 - 1e-12):
                 dt = min(config.tau, t_end - t)
-                step_stats: list = []
                 if backend is None:
                     u = step(problem, u, dt)
                 else:
-                    u = step(problem, u, dt, config.tol / n_steps, backend, stats=step_stats)
+                    u = step(problem, u, dt, config.tol / n_steps, backend)
                 t += dt
                 steps += 1
-                if step_stats:
-                    diagnostics.append(
-                        {
-                            "t": t,
-                            "phi_iterations": sum(r.iterations for r in step_stats),
-                            "phi_substeps": max(r.substeps for r in step_stats),
-                        }
-                    )
                 if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > INSTABILITY_THRESHOLD:
                     raise InstabilityError(
                         f"norm blow-up at t = {t:g} (step {steps})",
@@ -227,4 +210,4 @@ def integrate(problem, config: MethodConfig, u0, t_end: float) -> RunResult:
         except NonPositiveDensityError as exc:
             # density loss signals an unstable run, reported not hidden
             raise InstabilityError(str(exc), counter=counter, steps=steps) from exc
-    return RunResult(final_state=u, counter=counter, steps_taken=steps, diagnostics=diagnostics)
+    return RunResult(final_state=u, counter=counter, steps_taken=steps)

@@ -141,7 +141,7 @@ class TestBulkRecord:
         assert c.tally == 8
 
     def test_module_record_without_counter_is_noop(self):
-        assert counting.active_counter() is None
+        assert counting._ACTIVE.get() is None
         counting.record("dot", times=3)
 
 

@@ -207,13 +207,6 @@ class TestIntegrate:
         assert a.counter.events == b.counter.events
         assert np.array_equal(a.final_state, b.final_state)
 
-    def test_diagnostics_present_for_exponential_methods(self):
-        pb = AdvDiffProblem(32, ("const", 1.0 / 80.0))
-        cfg = MethodConfig(method="exprb42-krylov", tau=0.5, tol=1e-7)
-        res = integrate(pb, cfg, pb.initial_state(), 1.0)
-        assert len(res.diagnostics) == res.steps_taken
-        assert all(d["phi_iterations"] > 0 for d in res.diagnostics)
-
 
 class TestJacobianLinearity:
     def test_advdiff_jacobian_linearity(self):
