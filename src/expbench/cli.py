@@ -164,7 +164,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -18,7 +18,7 @@ import numpy as np
 
 from .counting import CSV_PRIMITIVES
 from .integrators import IntegrationError, MethodConfig, METHODS, integrate, rk4_step
-from .linalg import DEFAULT_DENSE_CAP, dense_expm
+from .linalg import DEFAULT_DENSE_CAP, _one_blas_thread, dense_expm
 from .problems import AdvDiffProblem, NavierStokesProblem
 
 CSV_HEADER = ",".join(
@@ -77,8 +77,9 @@ def build_problem(spec: ExperimentSpec):
     return NavierStokesProblem(spec.n, spec.nu)
 
 
+@_one_blas_thread()
 def error_norm(u, ref) -> float:
-    """Relative discrete l2 error over the full state."""
+    """Relative discrete l2 error over the full state, on one BLAS thread."""
     u = np.asarray(u, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if u.shape != ref.shape:
@@ -89,8 +90,9 @@ def error_norm(u, ref) -> float:
     return float(np.linalg.norm(u - ref)) / rnorm
 
 
+@_one_blas_thread()
 def compute_reference(problem, t_end: float, tau_hint: float | None = None) -> np.ndarray:
-    """Reference solution at t_end.
+    """Reference solution at t_end, on one BLAS thread.
 
     Linear 1D problem: exact dense propagator exp(t_end L) u0, for at
     most DEFAULT_DENSE_CAP (512) points; more raise ValueError.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import OpCounter, use_counter
-from .linalg import copy_vector, lincomb, norm2, scale
+from .linalg import _one_blas_thread, copy_vector, lincomb, norm2, scale
 from .problems import NonPositiveDensityError
 from .matfunc import (
     NotConverged,
@@ -164,8 +164,9 @@ def exprb42_step(problem, u, tau: float, tol: float, backend: str) -> np.ndarray
     return lincomb([1.0, 1.0], [u, combo.y])
 
 
+@_one_blas_thread()
 def integrate(problem, config: MethodConfig, u0, t_end: float) -> RunResult:
-    """Repeat the configured step to t_end with a fresh counter.
+    """Repeat the configured step to t_end with a fresh counter, one BLAS thread.
 
     The final step is shortened when t_end is not a multiple of tau.
     Aborts with InstabilityError when the max norm exceeds 1e12 or the state
@@ -173,8 +174,8 @@ def integrate(problem, config: MethodConfig, u0, t_end: float) -> RunResult:
     PhiConvergenceError.  Both carry the partial counter and the number of
     completed steps for reporting.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
     counter = OpCounter(problem.cost_table())
     steps = 0
     step_name, backend = METHODS[config.method]

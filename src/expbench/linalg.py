@@ -12,20 +12,20 @@ The dense matrix exponential evaluates the small Hessenberg and divided-
 difference matrices inside the evaluators; the dense phi functions act as
 an independent oracle for the iterative evaluators in the tests.
 
-``dense_expm`` is the only caller of ``scipy.linalg.expm`` in the package,
-and it always runs on one BLAS thread.  At the sizes used here (up to a
-few hundred rows) a second thread only adds synchronization, and the
-thread count changes the rounding of the result.  So the results do not
-depend on ``OPENBLAS_NUM_THREADS``.  ``dense_expm`` sets the thread count
-of both OpenBLAS builds that take part (numpy's, which runs the squarings,
-and scipy's, which runs the Pade step) to 1 and restores the previous
-counts afterwards.  Their ``openblas_set_num_threads_local`` setters are
-process-wide despite the name, so a lock keeps concurrent calls from
-restoring each other's setting.
+OpenBLAS's thread count changes the rounding of its products (``np.dot``
+of 20000 entries, the squarings of ``scipy.linalg.expm``).  So
+``integrators.integrate``, ``harness.error_norm``, the reference solutions
+and ``dense_expm`` (the package's only ``scipy.linalg.expm`` call) run
+under ``_one_blas_thread``, and results do not depend on
+``OPENBLAS_NUM_THREADS``.  It sets the thread count of the OpenBLAS builds
+bundled with numpy and scipy to 1 and restores them on exit.  Their setters
+are process-wide, so a re-entrant lock held for the whole block serializes
+concurrent blocks; a nested block leaves the pinned count alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import os
@@ -172,9 +172,29 @@ def _blas_thread_setters() -> tuple:
 
 
 _BLAS_THREAD_SETTERS = _blas_thread_setters()
-_BLAS_THREAD_LOCK = threading.Lock()
+_BLAS_THREAD_LOCK = threading.RLock()
+_blas_pinned = False  # only read and written by the lock's owner
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, then restore both thread counts."""
+    global _blas_pinned
+    with _BLAS_THREAD_LOCK:
+        if _blas_pinned:
+            yield
+            return
+        saved = [setter(1) for setter in _BLAS_THREAD_SETTERS]
+        _blas_pinned = True
+        try:
+            yield
+        finally:
+            _blas_pinned = False
+            for setter, n in zip(_BLAS_THREAD_SETTERS, saved):
+                setter(n)
+
+
+@_one_blas_thread()
 def dense_expm(M) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring (Pade approximant), on
     one BLAS thread."""
@@ -183,13 +203,7 @@ def dense_expm(M) -> np.ndarray:
         raise ValueError("dense_expm requires a square matrix")
     if M.shape[0] == 0:
         return np.zeros((0, 0))
-    with _BLAS_THREAD_LOCK:
-        saved = [setter(1) for setter in _BLAS_THREAD_SETTERS]
-        try:
-            return scipy.linalg.expm(M)
-        finally:
-            for setter, n in zip(_BLAS_THREAD_SETTERS, saved):
-                setter(n)
+    return scipy.linalg.expm(M)
 
 
 def dense_phi(M, p: int) -> np.ndarray:

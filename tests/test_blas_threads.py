@@ -1,5 +1,6 @@
-"""The dense kernels run on one BLAS thread, so results do not depend on
-``OPENBLAS_NUM_THREADS``, and ``dense_expm`` gives the thread count back."""
+"""Runs, errors, references and the dense kernels use one BLAS thread, so
+results do not depend on ``OPENBLAS_NUM_THREADS``, and each gives the
+thread count back."""
 
 import os
 import subprocess
@@ -8,25 +9,37 @@ import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from expbench import linalg
+from expbench.integrators import MethodConfig, integrate
 from expbench.linalg import dense_expm
+from expbench.problems import AdvDiffProblem
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# one exprb42-krylov cell of the diffusion preset and the advection-preset
-# reference, printed as the bytes of their float64 results
+# one exprb42-krylov cell of the diffusion preset, the advection-preset
+# reference, and one exprb-euler-krylov step on a Navier-Stokes state of
+# 12288 entries (where np.dot rounds differently on two threads) with its
+# error_norm against the initial state, printed as the bytes of their
+# float64 results
 CELL_AND_REFERENCE = """
-from expbench.harness import build_problem, compute_reference, preset
+from expbench.harness import build_problem, compute_reference, error_norm, preset
 from expbench.integrators import MethodConfig, integrate
+from expbench.problems import NavierStokesProblem
 
 diffusion = build_problem(preset("diffusion"))
 config = MethodConfig("exprb42-krylov", tau=0.25, tol=1e-7)
 cell = integrate(diffusion, config, diffusion.initial_state(), 1.0)
 advection = preset("advection")
 reference = compute_reference(build_problem(advection), advection.t_end)
+ns = NavierStokesProblem(64, 1e-6)
+u0 = ns.initial_state()
+step = integrate(ns, MethodConfig("exprb-euler-krylov", tau=0.25, tol=1e-6), u0, 0.25)
 print(cell.final_state.tobytes().hex())
 print(reference.tobytes().hex())
+print(step.final_state.tobytes().hex())
+print(error_norm(step.final_state, u0).hex())
 """
 
 
@@ -42,7 +55,7 @@ def run_with_blas_threads(threads):
 
 def test_cell_and_reference_identical_for_one_and_two_blas_threads():
     one, two = run_with_blas_threads(1), run_with_blas_threads(2)
-    assert len(one) == 2
+    assert len(one) == 4
     assert one == two
 
 
@@ -55,10 +68,18 @@ def set_blas_threads(counts):
     return [setter(n) for setter, n in zip(linalg._BLAS_THREAD_SETTERS, counts)]
 
 
-def test_dense_expm_restores_the_blas_thread_count():
+def krylov_run():
+    # a run whose dense_expm calls nest inside the run's own pin
+    pb = AdvDiffProblem(16, "mixed")
+    integrate(pb, MethodConfig("exprb-euler-krylov", tau=0.5, tol=1e-6), pb.initial_state(), 1.0)
+
+
+@pytest.mark.parametrize("call", [lambda: dense_expm(np.eye(8)), krylov_run],
+                         ids=["dense_expm", "integrate"])
+def test_restores_the_blas_thread_count(call):
     saved = set_blas_threads([3, 3])
     try:
-        dense_expm(np.eye(8))
+        call()
     finally:
         seen = set_blas_threads(saved)
     assert seen == [3, 3]

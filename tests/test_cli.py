@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from expbench import matfunc
 from expbench.cli import build_parser, main
 from expbench.harness import read_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -152,3 +158,13 @@ class TestSelftest:
         assert len(failed) == 24 and all(" leja " in line for line in failed)
         assert sum(line.startswith("[pass]") for line in lines) == 24
         assert lines[-1] == "selftest: 24 FAILURES"
+
+
+def test_runs_as_a_module_from_a_checkout():
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "expbench", "--help"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: expbench")

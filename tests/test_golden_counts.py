@@ -1,7 +1,7 @@
-"""Golden digests of the counted CSV columns on two small grids.
+"""Golden digests of the counted CSV columns on three small grids.
 
-Every ``METHODS`` row runs on a small advection-diffusion grid and a small
-Navier-Stokes grid, with both tolerances.  The digest covers the columns
+Every ``METHODS`` row runs on two small advection-diffusion grids (constant
+and mixed kappa) and a small Navier-Stokes grid, with both tolerances.  The digest covers the columns
 that the cost model produces (everything but ``error``), so a change to
 the evaluators that moves a single counted event, a step count or a
 converged flag shows here.  A change that is meant to move the counts must
@@ -21,6 +21,10 @@ GRIDS = {
     "advdiff-31": (
         dict(problem="advdiff", n=31, kappa=("const", 1.0 / 80.0), taus=(0.25, 0.125), t_end=0.5),
         "4af768a57a6039438f8195b6d47b7f60aee40a6b798765f58d32463f5aa1d6aa",
+    ),
+    "advdiff-mixed-31": (
+        dict(problem="advdiff", n=31, kappa="mixed", taus=(0.25, 0.125), t_end=0.5),
+        "d9bc9e66f45a3b79d81ac1149a2e10ddb57af9dc86b9fdef2a47533fed93a841",
     ),
     "ns-8": (
         dict(problem="ns", n=8, nu=1e-3, taus=(0.25,), t_end=0.5),

@@ -172,10 +172,11 @@ class TestIntegrate:
             u = rk4_step(pb, u, dt)
         assert np.allclose(res.final_state, u, rtol=1e-12, atol=1e-14)
 
-    def test_invalid_t_end(self):
+    @pytest.mark.parametrize("t_end", [0.0, math.nan, math.inf])
+    def test_invalid_t_end(self, t_end):
         pb = AdvDiffProblem(8, ("const", 1.0 / 80.0))
-        with pytest.raises(ValueError):
-            integrate(pb, MethodConfig(method="rk2", tau=0.1), pb.initial_state(), 0.0)
+        with pytest.raises(ValueError, match="t_end"):
+            integrate(pb, MethodConfig(method="rk2", tau=0.1), pb.initial_state(), t_end)
 
     def test_explicit_method_instability_detected(self):
         pb = AdvDiffProblem(159, ("const", 1.0 / 80.0))
