@@ -137,7 +137,8 @@ def exprb_euler_step(problem, u, tau: float, tol: float, backend: str) -> np.nda
     f = problem.rhs(u)
     tol_phi = _PHI_SAFETY * tol * _step_scale(u) / tau
     J = problem.linearize(u)
-    return lincomb([1.0, tau], [u, _phi_action(J, 1, tau, f, tol_phi, backend).y])
+    res = _phi_action(J, 1, tau, f, tol_phi, backend)
+    return lincomb([1.0, tau], [u, res.y])
 
 
 def exprb42_step(problem, u, tau: float, tol: float, backend: str) -> np.ndarray:

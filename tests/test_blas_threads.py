@@ -87,14 +87,19 @@ def test_restores_the_blas_thread_count(call):
 
 def test_concurrent_calls_restore_the_blas_thread_count():
     """The setters are process-wide: without the lock, one thread would save
-    the 1 that another had set and restore it last."""
+    the 1 that another had set and restore it last, and a block would run
+    on the count another had restored.  Two threads call dense_expm alone,
+    two run integrate, whose dense_expm calls nest."""
     M = np.random.default_rng(0).standard_normal((20, 20))
     errors = []
+    inside = []  # the counts each block found, read by setting the 1 they should be
 
-    def work():
+    def work(call, reps):
         try:
-            for _ in range(50):
-                dense_expm(M)
+            for _ in range(reps):
+                call()
+                with linalg._one_blas_thread():
+                    inside.append(set_blas_threads([1, 1]))
         except Exception as exc:  # noqa: BLE001  (reported by the assert below)
             errors.append(exc)
 
@@ -102,7 +107,9 @@ def test_concurrent_calls_restore_the_blas_thread_count():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work) for _ in range(4)]
+        threads = [threading.Thread(target=work, args=(lambda: dense_expm(M), 100))
+                   for _ in range(2)]
+        threads += [threading.Thread(target=work, args=(krylov_run, 5)) for _ in range(2)]
         for t in threads:
             t.start()
         for t in threads:
@@ -112,4 +119,5 @@ def test_concurrent_calls_restore_the_blas_thread_count():
         sys.setswitchinterval(interval)
         seen = set_blas_threads(saved)
     assert errors == []
+    assert inside and all(counts == [1, 1] for counts in inside)
     assert seen == [3, 3]
