@@ -1,10 +1,10 @@
 """Golden digests of the counted CSV columns on three small grids.
 
 Every ``METHODS`` row runs on two small advection-diffusion grids (constant
-and mixed kappa) and a small Navier-Stokes grid, with both tolerances.  The digest covers the columns
-that the cost model produces (everything but ``error``), so a change to
-the evaluators that moves a single counted event, a step count or a
-converged flag shows here.  A change that is meant to move the counts must
+and mixed kappa) and a small Navier-Stokes grid, with both tolerances.  The
+digest covers the columns that the cost model produces (everything but
+``error``), so a change to the evaluators that moves a single counted event,
+a step count or a converged flag shows here.  A change that is meant to move the counts must
 say why and update the digest.
 """
 
