@@ -3,16 +3,12 @@
 Subcommands:
   run      one experiment grid with explicit parameters, CSV output
   preset   named experiment presets (diffusion, advection, mixed, shearflow)
-  selftest oracle-equivalence checks of the iterative evaluators
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-
-import numpy as np
 
 from .harness import (
     PRESETS,
@@ -25,9 +21,6 @@ from .harness import (
     write_csv,
 )
 from .integrators import METHODS, IntegrationError, MethodConfig, integrate
-from .linalg import dense_phi
-from .matfunc import NotConverged, krylov_phi_action, leja_phi_action
-from .problems import AdvDiffProblem
 
 
 def _parse_kappa(text: str):
@@ -84,8 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--full", action="store_true",
                      help="full-scale parameters (slow)")
     pre.add_argument("--dump-fields", metavar="DIR", default=None)
-
-    sub.add_parser("selftest", help="oracle-equivalence checks (fast)")
     return parser
 
 
@@ -106,45 +97,8 @@ def _do_run(spec: ExperimentSpec, out, dump_dir) -> int:
     return 0
 
 
-def selftest() -> int:
-    """Check both evaluators against the dense oracle on small operators; an
-    action that raises NotConverged is a failed check."""
-    rng = np.random.default_rng(7)
-    failures = 0
-    for n in (16, 32):
-        for kappa in (1.0 / 80.0, 1.0 / 2560.0):
-            problem = AdvDiffProblem(n, ("const", kappa))
-            dense = problem.to_dense()
-            v = rng.standard_normal(n)
-            for tau in (1.0 / 64.0, 1.0 / 4.0):
-                for p in (0, 1, 3):
-                    oracle = dense_phi(tau * dense, p) @ v
-                    scale_ref = float(np.linalg.norm(oracle))
-                    for backend, action in (
-                        ("krylov", krylov_phi_action),
-                        ("leja", leja_phi_action),
-                    ):
-                        try:
-                            y = action(problem.linearize(), p, tau, v, 1e-12).y
-                            err = float(np.linalg.norm(y - oracle)) / scale_ref
-                        except NotConverged:
-                            err = math.inf
-                        ok = err <= 1e-10
-                        status = "pass" if ok else "FAIL"
-                        print(
-                            f"[{status}] n={n:3d} kappa={kappa:.6g} tau={tau:g} "
-                            f"p={p} {backend:6s} rel_err={err:.3e}"
-                        )
-                        if not ok:
-                            failures += 1
-    print("selftest:", "PASS" if failures == 0 else f"{failures} FAILURES")
-    return 0 if failures == 0 else 1
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "selftest":
-        return selftest()
     try:
         if args.command == "run":
             spec = ExperimentSpec(

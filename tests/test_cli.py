@@ -1,17 +1,17 @@
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from expbench import matfunc
 from expbench.cli import build_parser, main
 from expbench.harness import read_csv
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 class TestParser:
@@ -140,26 +140,6 @@ class TestEndToEnd:
         assert not (tmp_path / "fields").exists()
 
 
-class TestSelftest:
-    def test_every_oracle_check_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert sum(line.startswith("[pass]") for line in lines) == 48
-        assert lines[-1] == "selftest: PASS"
-
-    def test_not_converged_action_is_a_failed_check(self, capsys, monkeypatch):
-        def exhausted(applyA, x, t, tol_abs, p):
-            raise matfunc.NotConverged(3)
-
-        monkeypatch.setitem(matfunc.EVALUATORS, "leja", exhausted)
-        assert main(["selftest"]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        failed = [line for line in lines if line.startswith("[FAIL]")]
-        assert len(failed) == 24 and all(" leja " in line for line in failed)
-        assert sum(line.startswith("[pass]") for line in lines) == 24
-        assert lines[-1] == "selftest: 24 FAILURES"
-
-
 def test_runs_as_a_module_from_a_checkout():
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -168,3 +148,18 @@ def test_runs_as_a_module_from_a_checkout():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: expbench")
+
+
+def test_readme_cli_examples_parse():
+    """Every ``expbench ...`` command of README's CLI code block, with its
+    backslash continuation lines joined, is accepted by the parser."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [line.strip() for line in lines if line.strip().startswith("expbench ")]
+    assert commands
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

@@ -49,6 +49,16 @@ def fields(x, n):
     return [x[i * n * n : (i + 1) * n * n].reshape(n, n) for i in range(3)]
 
 
+def roll_rhs(state, n, nu):
+    rho, u, v = fields(state, n)
+    h = 1.0 / n
+    dx, dy, lap = roll_dx, roll_dy, roll_lap
+    f1 = -dx(rho * u, h) - dy(rho * v, h)
+    f2 = -u * dx(u, h) - v * dy(u, h) - dx(rho, h) / rho + nu * lap(u, h)
+    f3 = -u * dx(v, h) - v * dy(v, h) - dy(rho, h) / rho + nu * lap(v, h)
+    return np.concatenate([f1.ravel(), f2.ravel(), f3.ravel()])
+
+
 def roll_jacobian_action(state, w, n, nu):
     rho, u, v = fields(state, n)
     w1, w2, w3 = fields(w, n)
@@ -245,6 +255,12 @@ class TestFrozenLinearization:
 
 
 class TestNavierStokesRhs:
+    @pytest.mark.parametrize("n", [4, 5, 8, 40])
+    def test_matches_roll_rhs_bitwise(self, n):
+        nu = 1e-4
+        for state in (perturbed_shear_flow(n, 0), perturbed_shear_flow(n, 1), lopsided_velocity_state(n)):
+            assert np.array_equal(ns_rhs(state, n, nu), roll_rhs(state, n, nu))
+
     def test_constant_state_is_stationary(self):
         n = 8
         N = n * n
