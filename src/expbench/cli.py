@@ -14,7 +14,6 @@ from .harness import (
     PRESETS,
     ExperimentSpec,
     build_problem,
-    compute_reference,
     dump_fields,
     preset,
     run_experiment,
@@ -85,8 +84,7 @@ def _do_run(spec: ExperimentSpec, out, dump_dir) -> int:
         print("--dump-fields is only meaningful for the ns problem", file=sys.stderr)
         return 2
     problem = build_problem(spec)
-    reference = compute_reference(problem, spec.t_end, tau_hint=min(spec.taus))
-    records = run_experiment(spec, reference=reference, problem=problem)
+    records = run_experiment(spec, problem=problem)
     write_csv(records, out)
     print(f"wrote {len(records)} records to {out}")
     if dump_dir is not None:

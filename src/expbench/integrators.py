@@ -23,7 +23,6 @@ from .linalg import _one_blas_thread, copy_vector, lincomb, norm2, scale
 from .problems import NonPositiveDensityError
 from .matfunc import (
     NotConverged,
-    PhiActionResult,
     krylov_phi_action,
     leja_phi_action,
     phi_linear_combination,
@@ -109,52 +108,44 @@ def rk4_step(problem, u, tau: float) -> np.ndarray:
     )
 
 
-def _phi_action(J, p, tau, v, tol, backend) -> PhiActionResult:
-    # through the module globals, so a rebound entry point is the one called
-    if backend == "krylov":
-        return krylov_phi_action(J, p, tau, v, tol)
-    return leja_phi_action(J, p, tau, v, tol)
-
-
 # Slack between the per-step error allowance and the tolerance handed to the
 # phi evaluators, absorbing the looseness of their internal error estimates.
 _PHI_SAFETY = 0.1
 
 
-def _step_scale(u) -> float:
-    """Reference magnitude for converting the prescribed tolerance into the
-    absolute phi-evaluation accuracy of one step."""
+def _stage(problem, u, h: float, tol: float, backend: str):
+    """The exprb-Euler stage u + h phi_1(h J) F(u), J frozen at u.
+
+    tol is the per-step relative error allowance and tol_abs = _PHI_SAFETY
+    tol |u| (|u| read as 1 for u = 0) its absolute counterpart; the phi action
+    gets tol_abs / h, as its result enters scaled by h.  Returns the stage,
+    F(u), J and tol_abs.  The phi entry point is looked up in the module
+    globals when the call runs, so a rebound one is the one called.
+    """
+    f = problem.rhs(u)
     unorm = norm2(u)
-    return unorm if unorm > 0.0 else 1.0
+    tol_abs = _PHI_SAFETY * tol * (unorm if unorm > 0.0 else 1.0)
+    J = problem.linearize(u)
+    action = krylov_phi_action if backend == "krylov" else leja_phi_action
+    stage = lincomb([1.0, h], [u, action(J, 1, h, f, tol_abs / h).y])
+    return stage, f, J, tol_abs
 
 
 def exprb_euler_step(problem, u, tau: float, tol: float, backend: str) -> np.ndarray:
-    """u + tau * phi_1(tau J) F(u).
-
-    tol is the per-step relative error allowance; the phi evaluation receives
-    the corresponding absolute accuracy (the result enters scaled by tau).
-    """
-    f = problem.rhs(u)
-    tol_phi = _PHI_SAFETY * tol * _step_scale(u) / tau
-    J = problem.linearize(u)
-    res = _phi_action(J, 1, tau, f, tol_phi, backend)
-    return lincomb([1.0, tau], [u, res.y])
+    """u + tau * phi_1(tau J) F(u): the exprb-Euler stage with h = tau."""
+    return _stage(problem, u, tau, tol, backend)[0]
 
 
 def exprb42_step(problem, u, tau: float, tol: float, backend: str) -> np.ndarray:
     """Two-stage fourth-order exponential Rosenbrock step.
 
-    Stage:  U2 = u + (3/4) tau phi_1((3/4) tau J) F(u)   (direct phi_1 action)
+    Stage:  U2 = u + (3/4) tau phi_1((3/4) tau J) F(u)   (the exprb-Euler stage)
     Update: u + tau phi_1(tau J) F(u) + (32/9) tau phi_3(tau J) (g(U2) - g(u)),
     evaluated as one augmented-operator combination with J frozen at u.
 
-    tol is the per-step relative error allowance (see exprb_euler_step).
+    tol is the per-step relative error allowance (see _stage).
     """
-    f = problem.rhs(u)
-    tol_abs = _PHI_SAFETY * tol * _step_scale(u)
-    J = problem.linearize(u)
-    stage = _phi_action(J, 1, 0.75 * tau, f, tol_abs / (0.75 * tau), backend)
-    U2 = lincomb([1.0, 0.75 * tau], [u, stage.y])
+    U2, f, J, tol_abs = _stage(problem, u, 0.75 * tau, tol, backend)
     f2 = problem.rhs(U2)
     dU = lincomb([1.0, -1.0], [U2, u])
     jdU = J(dU)
@@ -184,16 +175,14 @@ def integrate(problem, config: MethodConfig, u0, t_end: float) -> RunResult:
     # Split the run tolerance evenly over the steps so phi-evaluation errors
     # accumulate to at most the prescribed relative accuracy.
     n_steps = max(1, math.ceil(t_end / config.tau - 1e-12))
+    args = () if backend is None else (config.tol / n_steps, backend)
     with use_counter(counter):
         u = copy_vector(u0)
         t = 0.0
         try:
             while t < t_end * (1.0 - 1e-12):
                 dt = min(config.tau, t_end - t)
-                if backend is None:
-                    u = step(problem, u, dt)
-                else:
-                    u = step(problem, u, dt, config.tol / n_steps, backend)
+                u = step(problem, u, dt, *args)
                 t += dt
                 steps += 1
                 if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > INSTABILITY_THRESHOLD:

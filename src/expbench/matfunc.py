@@ -366,6 +366,9 @@ def _check(applyA, tau, terms, tol, backend, indices):
         raise ValueError(f"unsupported phi indices {ps}")
     if len(set(ps)) != len(ps):
         raise ValueError("phi indices must be distinct")
+    ws = [np.asarray(w, dtype=float) for _p, w in terms]
+    if ws[0].ndim != 1 or any(w.shape != ws[0].shape for w in ws):
+        raise ValueError("terms must be 1-D vectors of one length")
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError("tau must be positive")
     if not (math.isfinite(tol) and tol > 0):
@@ -374,7 +377,7 @@ def _check(applyA, tau, terms, tol, backend, indices):
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "leja" and not hasattr(applyA, "bounds"):
         raise ValueError("leja backend requires an operator with spectral bounds")
-    return [(p, np.asarray(w, dtype=float)) for p, w in terms]
+    return list(zip(ps, ws))
 
 
 def _chain(evaluate, op, x0, tau, tol, dim, s, applies):

@@ -130,7 +130,7 @@ class TestEndToEnd:
         code = main(
             [
                 "run", "--problem", "ns", "--n", "8", "--nu", "1e-6",
-                "--methods", "rk2", "--tau", "2", "--t-end", "8",
+                "--methods", "rk4", "--tau", "1", "--t-end", "2",
                 "--out", str(out), "--dump-fields", str(tmp_path / "fields"),
             ]
         )

@@ -15,7 +15,7 @@ from expbench.integrators import (
 )
 from expbench.linalg import dense_expm
 from expbench.matfunc import EVALUATORS
-from expbench.problems import AdvDiffProblem
+from expbench.problems import AdvDiffProblem, NavierStokesProblem
 
 from conftest import DenseLinearProblem
 
@@ -120,6 +120,29 @@ class TestExponentialSteps:
         u = np.array([1.0, -1.0, 2.0, 0.5])
         u1 = exprb_euler_step(pb, u, 0.5, 1e-10, "krylov")
         assert np.allclose(u1, u, atol=1e-12)
+
+    @pytest.mark.parametrize("backend", ["krylov", "leja"])
+    @pytest.mark.parametrize(
+        "make,tau,tol",
+        [
+            (lambda: AdvDiffProblem(31, "mixed"), 0.25, 1e-7),
+            (lambda: NavierStokesProblem(8, 1e-4), 0.5, 1e-6),
+        ],
+        ids=["advdiff", "ns"],
+    )
+    def test_exprb42_stage_is_the_exprb_euler_step(self, make, tau, tol, backend):
+        pb = make()
+        u = pb.initial_state()
+        seen = []
+        rhs = pb.rhs
+
+        def spy(w):
+            seen.append(w.copy())
+            return rhs(w)
+
+        pb.rhs = spy
+        exprb42_step(pb, u, tau, tol, backend)
+        assert np.array_equal(seen[1], exprb_euler_step(pb, u, 0.75 * tau, tol, backend))
 
 
 class TestLinearizationBounds:

@@ -717,6 +717,18 @@ class TestPhiLinearCombination:
             # pb.rhs has no bounds
             phi_linear_combination(pb.rhs, 0.5, [(1, np.ones(6))], 1e-8, "leja")
         assert c.events == {}
+        # terms must be 1-D vectors of one length, checked before counted work
+        pb = advdiff(16)
+        w1 = pb.initial_state()
+        c = fresh_counter(pb.n)
+        with use_counter(c):
+            for backend in ("krylov", "leja"):
+                for w3 in (np.ones(1), np.ones(8), np.ones((16, 1))):
+                    with pytest.raises(ValueError, match="1-D vectors of one length"):
+                        phi_linear_combination(
+                            pb.linearize(), 0.5, [(1, w1), (3, w3)], 1e-8, backend
+                        )
+        assert c.events == {}
 
     @pytest.mark.parametrize("backend", ["krylov", "leja"])
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
