@@ -5,20 +5,30 @@ problem instance.  Every cell integrates to t_end, measures the relative
 l2 error against a reference solution and captures the operation counter.
 Unstable or non-convergent cells are recorded with the "inf" error sentinel
 rather than dropped.
+
+The cells of a sweep are independent integrations, and each one's results
+depend on nothing that runs beside it, so ``run_experiment`` runs them on
+forked worker processes, one per available CPU, and assembles the records
+in the parent in grid order: the CSVs are byte-identical to a run of one
+cell after another.  See ``run_experiment`` for when cells stay in-process.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import math
+import multiprocessing
 import os
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
 from .counting import CSV_PRIMITIVES
 from .integrators import IntegrationError, MethodConfig, METHODS, integrate, rk4_step
-from .linalg import DEFAULT_DENSE_CAP, _one_blas_thread, dense_expm
+from .linalg import _BLAS_THREAD_LOCK, DEFAULT_DENSE_CAP, _one_blas_thread, dense_expm
 from .problems import AdvDiffProblem, NavierStokesProblem
 
 CSV_HEADER = ",".join(
@@ -126,42 +136,58 @@ def run_experiment(spec: ExperimentSpec, reference=None, problem=None):
     """All work-precision records for the spec, in grid iteration order.
 
     zeta only re-weights the inner-product cost, so each (method, tau, tol)
-    cell is integrated once and its counter re-totaled per zeta.
+    cell is integrated once and its counter re-totaled per zeta.  Explicit
+    methods store tol None, so their cell serves every tol of the grid.
+
+    The distinct cells run on ``len(os.sched_getaffinity(0))`` worker
+    processes, at most one per cell, forked from this one, so they inherit
+    the problem, ``u0``, the reference and the Leja points if this process
+    generated them.  Each worker keeps its own divided-difference cache.
+    Only (error, counter, steps, converged) comes back; the records are
+    built here in grid order, so the CSV is byte-identical to an
+    in-process sweep.  Cells stay in-process with one CPU, and when the
+    ``integrate`` this module calls is not the package's own: a caller
+    that rebound it (a tracer, a spy) keeps its effects in this process's
+    memory, where a worker's would be lost.  An exception other than
+    ``IntegrationError`` propagates with its own type, from the first
+    failing cell in grid order, and every worker has exited before this
+    function returns or raises.
     """
     if problem is None:
         problem = build_problem(spec)
     if reference is None:
         reference = compute_reference(problem, spec.t_end, tau_hint=min(spec.taus))
-    u0 = problem.initial_state()
+    grid = [
+        (tol, MethodConfig(method=method, tau=tau, tol=tol))
+        for method, tau, tol in itertools.product(spec.methods, spec.taus, spec.tols)
+    ]
+    cells = {astuple(config): config for _tol, config in grid}
+    cell = functools.partial(
+        _run_cell, problem=problem, u0=problem.initial_state(), t_end=spec.t_end,
+        reference=reference,
+    )
+    results = dict(zip(cells, _map_cells(cell, list(cells.values()))))
     records = []
-    cell_cache: dict = {}
-    for method in spec.methods:
-        for tau in spec.taus:
-            for tol in spec.tols:
-                # explicit methods store tol None, so their run is reused
-                config = MethodConfig(method=method, tau=tau, tol=tol)
-                key = (method, tau, config.tol)
-                if key not in cell_cache:
-                    cell_cache[key] = _run_cell(problem, config, u0, spec.t_end, reference)
-                error, counter, steps, converged = cell_cache[key]
-                for zeta in spec.zetas:
-                    records.append(
-                        WorkPrecisionRecord(
-                            method=method,
-                            tau=tau,
-                            tol=tol,
-                            zeta=zeta,
-                            error=error,
-                            total_cost=counter.total_cost(zeta),
-                            steps=steps,
-                            counts=counter.breakdown(),
-                            converged=converged,
-                        )
-                    )
+    for tol, config in grid:
+        error, counter, steps, converged = results[astuple(config)]
+        for zeta in spec.zetas:
+            records.append(
+                WorkPrecisionRecord(
+                    method=config.method,
+                    tau=config.tau,
+                    tol=tol,
+                    zeta=zeta,
+                    error=error,
+                    total_cost=counter.total_cost(zeta),
+                    steps=steps,
+                    counts=counter.breakdown(),
+                    converged=converged,
+                )
+            )
     return records
 
 
-def _run_cell(problem, config, u0, t_end, reference):
+def _run_cell(config, problem, u0, t_end, reference):
     try:
         result = integrate(problem, config, u0, t_end)
     except IntegrationError as exc:
@@ -171,6 +197,42 @@ def _run_cell(problem, config, u0, t_end, reference):
         # stable arithmetic but no meaningful accuracy: flag as not converged
         return (err if math.isfinite(err) else math.inf), result.counter, result.steps_taken, False
     return err, result.counter, result.steps_taken, True
+
+
+# The package's own integrate, inside a tuple: perfbench's span tracer
+# rebinds every module attribute that holds the function, a plain alias too.
+_PACKAGE_INTEGRATE = (integrate,)
+
+
+def _map_cells(cell, configs) -> list:
+    """``[cell(c) for c in configs]``, on forked workers unless the cells
+    stay in-process (see run_experiment)."""
+    workers = min(len(os.sched_getaffinity(0)), len(configs))
+    if workers < 2 or integrate is not _PACKAGE_INTEGRATE[0]:
+        return list(map(cell, configs))
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_inherit_cell, initargs=(cell,),
+    )
+    with pool:
+        # The workers fork in the pool's first submit.  Holding the BLAS
+        # lock there means no other thread holds it, so no worker inherits
+        # it locked by a thread the worker does not have.
+        with _BLAS_THREAD_LOCK:
+            results = pool.map(_run_inherited_cell, configs)
+        return list(results)
+
+
+_inherited_cell = None  # in a forked worker: the cell function of its sweep
+
+
+def _inherit_cell(cell) -> None:
+    global _inherited_cell
+    _inherited_cell = cell
+
+
+def _run_inherited_cell(config):
+    return _inherited_cell(config)
 
 
 def _fmt(x: float) -> str:

@@ -22,6 +22,7 @@ from .counting import OpCounter, use_counter
 from .linalg import _one_blas_thread, copy_vector, lincomb, norm2, scale
 from .problems import NonPositiveDensityError
 from .matfunc import (
+    EVALUATORS,
     NotConverged,
     krylov_phi_action,
     leja_phi_action,
@@ -120,8 +121,11 @@ def _stage(problem, u, h: float, tol: float, backend: str):
     tol |u| (|u| read as 1 for u = 0) its absolute counterpart; the phi action
     gets tol_abs / h, as its result enters scaled by h.  Returns the stage,
     F(u), J and tol_abs.  The phi entry point is looked up in the module
-    globals when the call runs, so a rebound one is the one called.
+    globals when the call runs, so a rebound one is the one called.  An
+    unknown backend raises ValueError before any counted work.
     """
+    if backend not in EVALUATORS:
+        raise ValueError(f"unknown backend {backend!r}")
     f = problem.rhs(u)
     unorm = norm2(u)
     tol_abs = _PHI_SAFETY * tol * (unorm if unorm > 0.0 else 1.0)

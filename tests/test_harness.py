@@ -1,9 +1,16 @@
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from expbench import harness
+from expbench import harness, integrators, matfunc
 from expbench.harness import (
     CSV_HEADER,
     PRESETS,
@@ -18,6 +25,7 @@ from expbench.harness import (
     run_experiment,
     write_csv,
 )
+from expbench.integrators import METHODS
 from expbench.linalg import dense_expm
 from expbench.problems import AdvDiffProblem, NavierStokesProblem
 
@@ -196,6 +204,157 @@ class TestRunExperiment:
             assert (loose.error, loose.total_cost, loose.steps, loose.counts, loose.converged) == (
                 tight.error, tight.total_cost, tight.steps, tight.counts, tight.converged
             )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Another thread holds the one-BLAS-thread pin for half a second, entered
+# before run_experiment starts; prints "held", the number of records and
+# the live children after the sweep.
+SWEEP_BESIDE_A_PINNED_THREAD = """
+import multiprocessing, os, threading, time
+os.sched_getaffinity = lambda pid: {0, 1}
+from expbench import harness, linalg
+
+spec = harness.ExperimentSpec(
+    problem="advdiff", n=16, methods=("rk4", "exprb-euler-krylov"), taus=(0.25, 0.125),
+    tols=(1e-4,), zetas=(1.0, 10.0), t_end=0.5,
+)
+problem = harness.build_problem(spec)
+reference = harness.compute_reference(problem, spec.t_end)
+inside = threading.Event()
+
+def hold():
+    with linalg._one_blas_thread():
+        inside.set()
+        time.sleep(0.5)
+
+thread = threading.Thread(target=hold)
+thread.start()
+inside.wait()
+print("held" if thread.is_alive() else "released")
+records = harness.run_experiment(spec, reference=reference, problem=problem)
+thread.join()
+print(len(records))
+print(multiprocessing.active_children())
+"""
+
+
+def use_cpus(monkeypatch, count):
+    """Make run_experiment see ``count`` available CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def record_cell_pids(monkeypatch, path):
+    """Append the pid of the process that runs each cell to ``path``."""
+    run_cell = harness._run_cell
+
+    def spy(config, **kwargs):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return run_cell(config, **kwargs)
+
+    monkeypatch.setattr(harness, "_run_cell", spy)
+
+
+class CellFault(Exception):
+    """An exception a cell raises that is not an IntegrationError."""
+
+
+class TestParallelSweep:
+    """The cells of a sweep run on forked workers, one per available CPU;
+    the records, and so the CSV, are those of an in-process sweep."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # all six methods on the stiff phi_1 case of test_matfunc (n = 159,
+            # tau = 1): with one substep allowed its exponential cells fail
+            # with PhiConvergenceError, rk2 at tau = 1/4 blows up to inf, rk4
+            # at tau = 1 stays finite with an error above 1, and some
+            # exponential cells at tau = 1/4 converge
+            ExperimentSpec(
+                problem="advdiff", n=159, kappa=("const", 1.0 / 80.0), methods=tuple(METHODS),
+                taus=(1.0, 0.25), tols=(1e-4, 1e-7), zetas=(1.0, 10.0), t_end=1.0,
+            ),
+            ExperimentSpec(
+                problem="ns", n=8, nu=1e-4, methods=tuple(METHODS), taus=(0.25, 0.125),
+                tols=(1e-6,), zetas=(1.0, 10.0), t_end=0.25,
+            ),
+        ],
+        ids=["advdiff", "ns"],
+    )
+    def test_parallel_csv_is_byte_identical_to_in_process(self, spec, monkeypatch, tmp_path):
+        monkeypatch.setattr(matfunc, "SUBSTEP_CAP", 1)
+        problem = build_problem(spec)
+        reference = compute_reference(problem, spec.t_end, tau_hint=min(spec.taus))
+        cells = len({(m, tau, integrators.MethodConfig(m, tau, tol).tol)
+                     for m in spec.methods for tau in spec.taus for tol in spec.tols})
+        out = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            pids = tmp_path / f"pids-{cpus}"
+            record_cell_pids(monkeypatch, pids)
+            records = run_experiment(spec, reference=reference, problem=problem)
+            seen = pids.read_text().split()
+            assert len(seen) == cells
+            if cpus == 1:
+                assert set(seen) == {str(os.getpid())}
+            else:
+                assert str(os.getpid()) not in seen
+            out[cpus] = tmp_path / f"cpus-{cpus}.csv"
+            write_csv(records, out[cpus])
+        assert out[1].read_bytes() == out[2].read_bytes()
+        if spec.problem == "advdiff":
+            by_cell = {(r.method, r.tau, r.tol): r for r in records}
+            stiff = by_cell[("exprb-euler-krylov", 1.0, 1e-7)]
+            assert (stiff.error, stiff.steps, stiff.converged) == (math.inf, 0, False)
+            unstable = by_cell[("rk2", 0.25, 1e-7)]
+            assert math.isinf(unstable.error) and unstable.steps > 0
+            assert any(r.converged for r in records)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_worker_outlives_the_sweep(self, cpus, monkeypatch):
+        use_cpus(monkeypatch, cpus)
+        records = run_experiment(small_spec(taus=(0.25,), tols=(1e-4,)))
+        assert len(records) == 4
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_failing_cell_in_grid_order_raises_its_own_type(self, cpus, monkeypatch):
+        # rk2 fails at once, rk4 (first in grid order) only after a pause,
+        # so on two workers the rk2 failure arrives first
+        def fail(name, pause):
+            def step(*args):
+                time.sleep(pause)
+                raise CellFault(name)
+
+            return step
+
+        monkeypatch.setattr(integrators, "rk4_step", fail("rk4", 0.3))
+        monkeypatch.setattr(integrators, "rk2_step", fail("rk2", 0.0))
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(CellFault, match="rk4"):
+            run_experiment(small_spec(methods=("rk4", "rk2"), taus=(0.25,)))
+        assert multiprocessing.active_children() == []
+
+    def test_completes_while_another_thread_holds_the_blas_pin(self):
+        # A worker forked while another thread held the pin's lock would
+        # inherit it locked by a thread it does not have and hang in its
+        # first integrate; run in a subprocess so that a hang fails the test.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SWEEP_BESIDE_A_PINNED_THREAD],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the workers too
+            proc.communicate()
+            pytest.fail("run_experiment hung beside a thread holding the BLAS pin")
+        assert proc.returncode == 0, err
+        assert out.split() == ["held", "8", "[]"]
 
 
 class TestCsv:

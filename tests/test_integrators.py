@@ -17,7 +17,7 @@ from expbench.linalg import dense_expm
 from expbench.matfunc import EVALUATORS
 from expbench.problems import AdvDiffProblem, NavierStokesProblem
 
-from conftest import DenseLinearProblem
+from conftest import DenseLinearProblem, fresh_counter, use_counter
 
 
 def scalar_decay():
@@ -143,6 +143,14 @@ class TestExponentialSteps:
         pb.rhs = spy
         exprb42_step(pb, u, tau, tol, backend)
         assert np.array_equal(seen[1], exprb_euler_step(pb, u, 0.75 * tau, tol, backend))
+
+    @pytest.mark.parametrize("step", [exprb_euler_step, exprb42_step])
+    def test_unknown_backend_rejected_before_counted_work(self, step):
+        pb = AdvDiffProblem(31, "mixed")
+        c = fresh_counter(31)
+        with use_counter(c), pytest.raises(ValueError, match="unknown backend 'bogus'"):
+            step(pb, pb.initial_state(), 0.25, 1e-7, "bogus")
+        assert c.events == {}
 
 
 class TestLinearizationBounds:
