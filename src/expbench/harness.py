@@ -28,7 +28,7 @@ import numpy as np
 
 from .counting import CSV_PRIMITIVES
 from .integrators import IntegrationError, MethodConfig, METHODS, integrate, rk4_step
-from .linalg import _BLAS_THREAD_LOCK, DEFAULT_DENSE_CAP, _one_blas_thread, dense_expm
+from .linalg import DEFAULT_DENSE_CAP, dense_expm
 from .problems import AdvDiffProblem, NavierStokesProblem
 
 CSV_HEADER = ",".join(
@@ -87,9 +87,8 @@ def build_problem(spec: ExperimentSpec):
     return NavierStokesProblem(spec.n, spec.nu)
 
 
-@_one_blas_thread()
 def error_norm(u, ref) -> float:
-    """Relative discrete l2 error over the full state, on one BLAS thread."""
+    """Relative discrete l2 error over the full state."""
     u = np.asarray(u, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if u.shape != ref.shape:
@@ -100,9 +99,8 @@ def error_norm(u, ref) -> float:
     return float(np.linalg.norm(u - ref)) / rnorm
 
 
-@_one_blas_thread()
 def compute_reference(problem, t_end: float, tau_hint: float | None = None) -> np.ndarray:
-    """Reference solution at t_end, on one BLAS thread.
+    """Reference solution at t_end.
 
     Linear 1D problem: exact dense propagator exp(t_end L) u0, for at
     most DEFAULT_DENSE_CAP (512) points; more raise ValueError.
@@ -215,12 +213,7 @@ def _map_cells(cell, configs) -> list:
         initializer=_inherit_cell, initargs=(cell,),
     )
     with pool:
-        # The workers fork in the pool's first submit.  Holding the BLAS
-        # lock there means no other thread holds it, so no worker inherits
-        # it locked by a thread the worker does not have.
-        with _BLAS_THREAD_LOCK:
-            results = pool.map(_run_inherited_cell, configs)
-        return list(results)
+        return list(pool.map(_run_inherited_cell, configs))
 
 
 _inherited_cell = None  # in a forked worker: the cell function of its sweep

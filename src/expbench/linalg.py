@@ -13,23 +13,19 @@ difference matrices inside the evaluators; the dense phi functions act as
 an independent oracle for the iterative evaluators in the tests.
 
 OpenBLAS's thread count changes the rounding of its products (``np.dot``
-of 20000 entries, the squarings of ``scipy.linalg.expm``).  So
-``integrators.integrate``, ``harness.error_norm``, the reference solutions
-and ``dense_expm`` (the package's only ``scipy.linalg.expm`` call) run
-under ``_one_blas_thread``, and results do not depend on
-``OPENBLAS_NUM_THREADS``.  It sets the thread count of the OpenBLAS builds
-bundled with numpy and scipy to 1 and restores them on exit.  Their setters
-are process-wide, so a re-entrant lock held for the whole block serializes
-concurrent blocks; a nested block leaves the pinned count alone.
+of 20000 entries, the squarings of ``scipy.linalg.expm``).  So importing
+this module sets the OpenBLAS builds bundled with numpy and scipy to one
+thread for the life of the process, and results do not depend on
+``OPENBLAS_NUM_THREADS``.  The setting is process-wide: every thread and
+every forked sweep worker runs on one BLAS thread.  A caller that changes
+the count after importing expbench gives that up.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import glob
 import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -172,32 +168,12 @@ def _blas_thread_setters() -> tuple:
 
 
 _BLAS_THREAD_SETTERS = _blas_thread_setters()
-_BLAS_THREAD_LOCK = threading.RLock()
-_blas_pinned = False  # only read and written by the lock's owner
+for _setter in _BLAS_THREAD_SETTERS:
+    _setter(1)
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one BLAS thread, then restore both thread counts."""
-    global _blas_pinned
-    with _BLAS_THREAD_LOCK:
-        if _blas_pinned:
-            yield
-            return
-        saved = [setter(1) for setter in _BLAS_THREAD_SETTERS]
-        _blas_pinned = True
-        try:
-            yield
-        finally:
-            _blas_pinned = False
-            for setter, n in zip(_BLAS_THREAD_SETTERS, saved):
-                setter(n)
-
-
-@_one_blas_thread()
 def dense_expm(M) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring (Pade approximant), on
-    one BLAS thread."""
+    """Matrix exponential via scaling-and-squaring (Pade approximant)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("dense_expm requires a square matrix")

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import os
+
 import numpy as np
 
 from expbench.counting import CostTable, OpCounter, use_counter
@@ -49,6 +51,11 @@ def dense_gershgorin(M):
     return gershgorin_bounds(d, np.abs(M).sum(axis=1) - np.abs(d))
 
 
+def use_cpus(monkeypatch, count):
+    """Make run_experiment see ``count`` available CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 def dense_from_action(action, dim):
     """Densify a linear operator by applying it to the unit vectors."""
     M = np.zeros((dim, dim))
@@ -64,5 +71,6 @@ __all__ = [
     "dense_from_action",
     "dense_gershgorin",
     "fresh_counter",
+    "use_cpus",
     "use_counter",
 ]

@@ -1,6 +1,6 @@
-"""Runs, errors, references and the dense kernels use one BLAS thread, so
-results do not depend on ``OPENBLAS_NUM_THREADS``, and each gives the
-thread count back."""
+"""Importing ``expbench.linalg`` sets one BLAS thread for the process, so
+results do not depend on ``OPENBLAS_NUM_THREADS``; runs in threads beside
+each other keep their own counts."""
 
 import os
 import subprocess
@@ -10,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from expbench import linalg
+from expbench import harness, linalg
 from expbench.integrators import MethodConfig, integrate
-from expbench.linalg import dense_expm
 from expbench.problems import AdvDiffProblem
+
+from conftest import use_cpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -43,11 +45,18 @@ print(error_norm(step.final_state, u0).hex())
 """
 
 
-def run_with_blas_threads(threads):
+# the count each OpenBLAS build holds once expbench.linalg is imported
+IMPORT_PIN = """
+from expbench import linalg
+print(*[setter(1) for setter in linalg._BLAS_THREAD_SETTERS])
+"""
+
+
+def run_with_blas_threads(threads, script=CELL_AND_REFERENCE):
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", CELL_AND_REFERENCE],
+        [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     return proc.stdout.split()
@@ -63,53 +72,115 @@ def test_both_openblas_thread_setters_found():
     assert len(linalg._BLAS_THREAD_SETTERS) == 2
 
 
-def set_blas_threads(counts):
-    """Set each setter's count; returns the counts they held before."""
-    return [setter(n) for setter, n in zip(linalg._BLAS_THREAD_SETTERS, counts)]
+def test_import_sets_a_single_blas_thread():
+    assert run_with_blas_threads(2, IMPORT_PIN) == ["1", "1"]
 
 
-def krylov_run():
-    # a run whose dense_expm calls nest inside the run's own pin
-    pb = AdvDiffProblem(16, "mixed")
+def blas_thread_counts():
+    """The count each OpenBLAS build holds, read by setting the 1 it should hold."""
+    return [setter(1) for setter in linalg._BLAS_THREAD_SETTERS]
+
+
+def dense_expm_counts(monkeypatch):
+    seen = []
+    expm = scipy.linalg.expm
+
+    def spy(M):
+        seen.append(blas_thread_counts())
+        return expm(M)
+
+    monkeypatch.setattr(scipy.linalg, "expm", spy)
+    linalg.dense_expm(np.eye(8))
+    return seen
+
+
+def integrate_counts(monkeypatch):
+    seen = []
+
+    class CountsInRhs(AdvDiffProblem):
+        def rhs(self, u):
+            seen.append(blas_thread_counts())
+            return super().rhs(u)
+
+    pb = CountsInRhs(16, "mixed")
     integrate(pb, MethodConfig("exprb-euler-krylov", tau=0.5, tol=1e-6), pb.initial_state(), 1.0)
+    return seen
 
 
-@pytest.mark.parametrize("call", [lambda: dense_expm(np.eye(8)), krylov_run],
+@pytest.mark.parametrize("run", [dense_expm_counts, integrate_counts],
                          ids=["dense_expm", "integrate"])
-def test_restores_the_blas_thread_count(call):
-    saved = set_blas_threads([3, 3])
-    try:
-        call()
-    finally:
-        seen = set_blas_threads(saved)
-    assert seen == [3, 3]
+def test_calls_run_on_a_single_blas_thread(monkeypatch, run):
+    """Inside each call and after it both builds hold one thread: no call
+    sets or restores a count of its own."""
+    seen = run(monkeypatch)
+    assert seen and all(counts == [1, 1] for counts in seen)
+    assert blas_thread_counts() == [1, 1]
 
 
-def test_concurrent_calls_restore_the_blas_thread_count():
-    """The setters are process-wide: without the lock, one thread would save
-    the 1 that another had set and restore it last, and a block would run
-    on the count another had restored.  Two threads call dense_expm alone,
-    two run integrate, whose dense_expm calls nest."""
-    M = np.random.default_rng(0).standard_normal((20, 20))
+def test_forked_sweep_worker_runs_on_a_single_blas_thread(monkeypatch, tmp_path):
+    seen = tmp_path / "seen"
+    run_cell = harness._run_cell
+
+    def spy(config, **kwargs):
+        counts = blas_thread_counts()
+        with open(seen, "a") as fh:
+            fh.write(f"{os.getpid()} {counts}\n")
+        return run_cell(config, **kwargs)
+
+    monkeypatch.setattr(harness, "_run_cell", spy)
+    use_cpus(monkeypatch, 2)
+    spec = harness.ExperimentSpec(
+        problem="advdiff", n=16, methods=("rk4", "exprb-euler-krylov"), taus=(0.25,),
+        tols=(1e-4,), zetas=(1.0,), t_end=0.5,
+    )
+    assert len(harness.run_experiment(spec)) == 2
+    pids, counts = zip(*(line.split(" ", 1) for line in seen.read_text().splitlines()))
+    assert str(os.getpid()) not in pids
+    assert counts == ("[1, 1]", "[1, 1]")
+
+
+class MeetInRhs(AdvDiffProblem):
+    """AdvDiffProblem whose first rhs call in each of two threads waits for
+    the other thread's, so two runs on it are in progress at once."""
+
+    def __init__(self, n, kappa):
+        super().__init__(n, kappa)
+        self.met = threading.local()
+        self.barrier = threading.Barrier(2, timeout=10)
+
+    def rhs(self, u):
+        if not getattr(self.met, "done", False):
+            self.met.done = True
+            self.barrier.wait()
+        return super().rhs(u)
+
+
+def test_concurrent_runs_match_serial_runs():
+    """Two integrate calls in two threads overlap; each run counts on its
+    own context-variable counter, so each gives a serial run's state and
+    counted events."""
+    configs = [MethodConfig("exprb42-krylov", tau=1 / 32, tol=1e-7),
+               MethodConfig("exprb-euler-leja", tau=1 / 32, tol=1e-7)]
+
+    def run(problem, config):
+        result = integrate(problem, config, problem.initial_state(), 1.0)
+        return result.final_state.tobytes(), result.counter.events
+
+    serial = [run(AdvDiffProblem(31, "mixed"), config) for config in configs]
+    problem = MeetInRhs(31, "mixed")
+    concurrent = [None, None]
     errors = []
-    inside = []  # the counts each block found, read by setting the 1 they should be
 
-    def work(call, reps):
+    def work(i):
         try:
-            for _ in range(reps):
-                call()
-                with linalg._one_blas_thread():
-                    inside.append(set_blas_threads([1, 1]))
+            concurrent[i] = run(problem, configs[i])
         except Exception as exc:  # noqa: BLE001  (reported by the assert below)
             errors.append(exc)
 
-    saved = set_blas_threads([3, 3])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(lambda: dense_expm(M), 100))
-                   for _ in range(2)]
-        threads += [threading.Thread(target=work, args=(krylov_run, 5)) for _ in range(2)]
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
         for t in threads:
             t.start()
         for t in threads:
@@ -117,7 +188,5 @@ def test_concurrent_calls_restore_the_blas_thread_count():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-        seen = set_blas_threads(saved)
     assert errors == []
-    assert inside and all(counts == [1, 1] for counts in inside)
-    assert seen == [3, 3]
+    assert concurrent == serial

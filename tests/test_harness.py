@@ -1,11 +1,7 @@
 import math
 import multiprocessing
 import os
-import signal
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +24,8 @@ from expbench.harness import (
 from expbench.integrators import METHODS
 from expbench.linalg import dense_expm
 from expbench.problems import AdvDiffProblem, NavierStokesProblem
+
+from conftest import use_cpus
 
 
 def small_spec(**overrides):
@@ -206,45 +204,6 @@ class TestRunExperiment:
             )
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-# Another thread holds the one-BLAS-thread pin for half a second, entered
-# before run_experiment starts; prints "held", the number of records and
-# the live children after the sweep.
-SWEEP_BESIDE_A_PINNED_THREAD = """
-import multiprocessing, os, threading, time
-os.sched_getaffinity = lambda pid: {0, 1}
-from expbench import harness, linalg
-
-spec = harness.ExperimentSpec(
-    problem="advdiff", n=16, methods=("rk4", "exprb-euler-krylov"), taus=(0.25, 0.125),
-    tols=(1e-4,), zetas=(1.0, 10.0), t_end=0.5,
-)
-problem = harness.build_problem(spec)
-reference = harness.compute_reference(problem, spec.t_end)
-inside = threading.Event()
-
-def hold():
-    with linalg._one_blas_thread():
-        inside.set()
-        time.sleep(0.5)
-
-thread = threading.Thread(target=hold)
-thread.start()
-inside.wait()
-print("held" if thread.is_alive() else "released")
-records = harness.run_experiment(spec, reference=reference, problem=problem)
-thread.join()
-print(len(records))
-print(multiprocessing.active_children())
-"""
-
-
-def use_cpus(monkeypatch, count):
-    """Make run_experiment see ``count`` available CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 def record_cell_pids(monkeypatch, path):
     """Append the pid of the process that runs each cell to ``path``."""
     run_cell = harness._run_cell
@@ -337,24 +296,6 @@ class TestParallelSweep:
         with pytest.raises(CellFault, match="rk4"):
             run_experiment(small_spec(methods=("rk4", "rk2"), taus=(0.25,)))
         assert multiprocessing.active_children() == []
-
-    def test_completes_while_another_thread_holds_the_blas_pin(self):
-        # A worker forked while another thread held the pin's lock would
-        # inherit it locked by a thread it does not have and hang in its
-        # first integrate; run in a subprocess so that a hang fails the test.
-        proc = subprocess.Popen(
-            [sys.executable, "-c", SWEEP_BESIDE_A_PINNED_THREAD],
-            env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True, start_new_session=True,
-        )
-        try:
-            out, err = proc.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)  # the workers too
-            proc.communicate()
-            pytest.fail("run_experiment hung beside a thread holding the BLAS pin")
-        assert proc.returncode == 0, err
-        assert out.split() == ["held", "8", "[]"]
 
 
 class TestCsv:
