@@ -5,9 +5,11 @@ import pytest
 
 from expbench.linalg import norm2, scale
 from expbench.matfunc import arnoldi_extend
-from expbench.problems import AdvDiffProblem
+from expbench.problems import AdvDiffProblem, shear_flow_init
 
 N_ADVDIFF = 159
+N_GRID = 40  # Navier-Stokes grid points per axis
+NU = 1e-4
 
 
 def _arnoldi(applyA, v, steps):
@@ -30,3 +32,11 @@ def arnoldi():
 def advdiff():
     """The diffusion preset's operator: n = 159, kappa = 1/80."""
     return AdvDiffProblem(N_ADVDIFF, ("const", 1.0 / 80.0))
+
+
+@pytest.fixture(scope="session")
+def ns_state():
+    """The Navier-Stokes state of the NS benchmarks: the n = 40 shear flow
+    plus a 1e-3 normal perturbation drawn from seed 0."""
+    rng = np.random.default_rng(0)
+    return shear_flow_init(N_GRID) + 1e-3 * rng.standard_normal(3 * N_GRID**2)

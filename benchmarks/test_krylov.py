@@ -13,22 +13,12 @@ no-op and the timings are of the loops alone: at these sizes they are
 mostly the Python overhead per inner product and vector update.
 """
 
-import numpy as np
-import pytest
-
 from expbench import matfunc
-from expbench.problems import ns_linearize, shear_flow_init
+from expbench.problems import ns_linearize
+
+from conftest import N_GRID, NU
 
 ARNOLDI_STEPS = 40
-N_GRID = 40
-NU = 1e-4
-
-
-@pytest.fixture(scope="module")
-def ns_jacobian():
-    rng = np.random.default_rng(0)
-    state = shear_flow_init(N_GRID) + 1e-3 * rng.standard_normal(3 * N_GRID**2)
-    return ns_linearize(state, N_GRID, NU), state
 
 
 def test_arnoldi_advdiff(benchmark, arnoldi, advdiff):
@@ -36,9 +26,9 @@ def test_arnoldi_advdiff(benchmark, arnoldi, advdiff):
     assert extended == ARNOLDI_STEPS
 
 
-def test_arnoldi_ns_frozen_jacobian(benchmark, arnoldi, ns_jacobian):
-    applyJ, state = ns_jacobian
-    _V, _H, extended = benchmark(arnoldi, applyJ, state, ARNOLDI_STEPS)
+def test_arnoldi_ns_frozen_jacobian(benchmark, arnoldi, ns_state):
+    applyJ = ns_linearize(ns_state, N_GRID, NU)
+    _V, _H, extended = benchmark(arnoldi, applyJ, ns_state, ARNOLDI_STEPS)
     assert extended == ARNOLDI_STEPS
 
 

@@ -10,39 +10,31 @@ no-op and the timings are of the numerical work alone.
 """
 
 import numpy as np
-import pytest
 
-from expbench.problems import ns_linearize, ns_rhs, shear_flow_init
+from expbench.problems import ns_linearize, ns_rhs
 
-N_GRID = 40
-NU = 1e-4
+from conftest import N_GRID, NU
 
 
-@pytest.fixture(scope="module")
-def state():
-    rng = np.random.default_rng(0)
-    return shear_flow_init(N_GRID) + 1e-3 * rng.standard_normal(3 * N_GRID**2)
+def test_ns_rhs(benchmark, ns_state):
+    benchmark(ns_rhs, ns_state, N_GRID, NU)
 
 
-def test_ns_rhs(benchmark, state):
-    benchmark(ns_rhs, state, N_GRID, NU)
-
-
-def test_frozen_jacobian_apply(benchmark, state):
-    applyJ = ns_linearize(state, N_GRID, NU)
-    w = np.random.default_rng(1).standard_normal(state.size)
+def test_frozen_jacobian_apply(benchmark, ns_state):
+    applyJ = ns_linearize(ns_state, N_GRID, NU)
+    w = np.random.default_rng(1).standard_normal(ns_state.size)
     benchmark(applyJ, w)
 
 
-def test_ns_linearize(benchmark, state):
-    benchmark(ns_linearize, state, N_GRID, NU)
+def test_ns_linearize(benchmark, ns_state):
+    benchmark(ns_linearize, ns_state, N_GRID, NU)
 
 
-def test_linearization_bounds(benchmark, state):
+def test_linearization_bounds(benchmark, ns_state):
     # what one Leja step pays: the bounds of a fresh linearization, whose
     # gradients are already computed (the setup is not timed)
     benchmark.pedantic(
         lambda J: J.bounds,
-        setup=lambda: ((ns_linearize(state, N_GRID, NU),), {}),
+        setup=lambda: ((ns_linearize(ns_state, N_GRID, NU),), {}),
         rounds=300,
     )

@@ -57,14 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a fully specified experiment grid")
     run.add_argument("--problem", choices=("advdiff", "ns"), required=True)
-    run.add_argument("--kappa", type=_parse_kappa, default=("const", 1.0 / 80.0),
+    run.add_argument("--kappa", type=_parse_kappa, default=ExperimentSpec.kappa,
                      help="advdiff diffusion profile: const:<v> or mixed")
-    run.add_argument("--nu", type=float, default=1e-6, help="NS kinematic viscosity")
+    run.add_argument("--nu", type=float, default=ExperimentSpec.nu,
+                     help="NS kinematic viscosity")
     run.add_argument("--n", type=int, required=True, help="grid points (per axis for ns)")
-    run.add_argument("--methods", type=_parse_methods, default=tuple(METHODS))
+    run.add_argument("--methods", type=_parse_methods, default=ExperimentSpec.methods)
     run.add_argument("--tau", type=_parse_floats, required=True)
-    run.add_argument("--tol", type=_parse_floats, default=(1e-4, 1e-7))
-    run.add_argument("--zeta", type=_parse_floats, default=(1.0, 10.0))
+    run.add_argument("--tol", type=_parse_floats, default=ExperimentSpec.tols)
+    run.add_argument("--zeta", type=_parse_floats, default=ExperimentSpec.zetas)
     run.add_argument("--t-end", type=float, required=True)
     run.add_argument("--out", required=True)
     run.add_argument("--dump-fields", metavar="DIR", default=None,

@@ -38,15 +38,18 @@ CSV_HEADER = ",".join(
 REFERENCE_STEP_CAP = 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
+    """One sweep over (method, tau, tol, zeta) on one problem.  The defaults
+    are the paper's grid, which the presets and ``expbench run`` use."""
+
     problem: str  # "advdiff" | "ns"
     n: int
-    methods: tuple
     taus: tuple
-    tols: tuple
-    zetas: tuple
     t_end: float
+    methods: tuple = tuple(METHODS)
+    tols: tuple = (1e-4, 1e-7)
+    zetas: tuple = (1.0, 10.0)
     kappa: object = ("const", 1.0 / 80.0)  # advdiff only
     nu: float = 1e-6  # ns only
 
@@ -289,19 +292,12 @@ def dump_fields(problem: NavierStokesProblem, state, outdir) -> None:
 # presets
 
 
-_EXP_TOLS = (1e-4, 1e-7)
-_ZETAS = (1.0, 10.0)
-
-
 def _tau_grid(tau_max: float, count: int) -> tuple:
     return tuple(tau_max / 2**m for m in range(count))
 
 
 def _desk(problem, n, taus, **fields) -> ExperimentSpec:
-    return ExperimentSpec(
-        problem=problem, n=n, methods=tuple(METHODS), taus=taus, tols=_EXP_TOLS,
-        zetas=_ZETAS, t_end=1.0, **fields,
-    )
+    return ExperimentSpec(problem=problem, n=n, taus=taus, t_end=1.0, **fields)
 
 
 # name -> (desk-scale spec, the fields that ``full`` changes)

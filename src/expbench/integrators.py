@@ -21,13 +21,7 @@ import numpy as np
 from .counting import OpCounter, use_counter
 from .linalg import copy_vector, lincomb, norm2, scale
 from .problems import NonPositiveDensityError
-from .matfunc import (
-    EVALUATORS,
-    NotConverged,
-    krylov_phi_action,
-    leja_phi_action,
-    phi_linear_combination,
-)
+from .matfunc import NotConverged, krylov_phi_action, leja_phi_action, phi_linear_combination
 
 # name -> (step function name, phi backend or None for explicit RK).  Steps
 # are looked up by name in the module globals when ``integrate`` runs, so a
@@ -124,13 +118,13 @@ def _stage(problem, u, h: float, tol: float, backend: str):
     globals when the call runs, so a rebound one is the one called.  An
     unknown backend raises ValueError before any counted work.
     """
-    if backend not in EVALUATORS:
+    action = {"krylov": krylov_phi_action, "leja": leja_phi_action}.get(backend)
+    if action is None:
         raise ValueError(f"unknown backend {backend!r}")
     f = problem.rhs(u)
     unorm = norm2(u)
     tol_abs = _PHI_SAFETY * tol * (unorm if unorm > 0.0 else 1.0)
     J = problem.linearize(u)
-    action = krylov_phi_action if backend == "krylov" else leja_phi_action
     stage = lincomb([1.0, h], [u, action(J, 1, h, f, tol_abs / h).y])
     return stage, f, J, tol_abs
 
@@ -161,9 +155,10 @@ def exprb42_step(problem, u, tau: float, tol: float, backend: str) -> np.ndarray
 
 
 def integrate(problem, config: MethodConfig, u0, t_end: float) -> RunResult:
-    """Repeat the configured step to t_end with a fresh counter.
+    """Take n_steps = ceil(t_end / tau) configured steps, with a fresh counter.
 
-    The final step is shortened when t_end is not a multiple of tau.
+    The ratio is read with a relative slack of 1e-12, so rounding in it adds
+    no step.  The final step is shortened when t_end is not a multiple of tau.
     Aborts with InstabilityError when the max norm exceeds 1e12 or the state
     turns non-finite; a phi action that raises NotConverged becomes
     PhiConvergenceError.  Both carry the partial counter and the number of
@@ -177,13 +172,13 @@ def integrate(problem, config: MethodConfig, u0, t_end: float) -> RunResult:
     step = globals()[step_name]
     # Split the run tolerance evenly over the steps so phi-evaluation errors
     # accumulate to at most the prescribed relative accuracy.
-    n_steps = max(1, math.ceil(t_end / config.tau - 1e-12))
+    n_steps = max(1, math.ceil(t_end / config.tau * (1.0 - 1e-12)))
     args = () if backend is None else (config.tol / n_steps, backend)
     with use_counter(counter):
         u = copy_vector(u0)
         t = 0.0
         try:
-            while t < t_end * (1.0 - 1e-12):
+            while steps < n_steps:
                 dt = min(config.tau, t_end - t)
                 u = step(problem, u, dt, *args)
                 t += dt

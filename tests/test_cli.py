@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import shlex
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from expbench import cli
 from expbench.cli import build_parser, main
-from expbench.harness import read_csv
+from expbench.harness import ExperimentSpec, preset, read_csv
+from expbench.integrators import METHODS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -38,6 +41,27 @@ class TestParser:
         assert args.kappa == "mixed"
         args = build_parser().parse_args(["preset", "--name", "diffusion", "--out", "y.csv"])
         assert args.name == "diffusion"
+
+    def test_run_defaults_are_the_spec_defaults(self, monkeypatch):
+        # the default grid is stated once, by ExperimentSpec, and is the
+        # grid of the diffusion preset
+        specs = []
+        monkeypatch.setattr(cli, "_do_run", lambda spec, out, dump_dir: specs.append(spec) or 0)
+        code = main(["run", "--problem", "advdiff", "--n", "8", "--tau", "0.1",
+                     "--t-end", "1", "--out", "x.csv"])
+        assert code == 0
+        (spec,) = specs
+        defaults = {
+            f.name: f.default for f in dataclasses.fields(ExperimentSpec)
+            if f.default is not dataclasses.MISSING
+        }
+        assert set(defaults) == {"methods", "tols", "zetas", "kappa", "nu"}
+        assert {name: getattr(spec, name) for name in defaults} == defaults
+        assert spec.methods == tuple(METHODS)
+        diffusion = preset("diffusion")
+        assert (spec.tols, spec.zetas, spec.kappa) == (
+            diffusion.tols, diffusion.zetas, diffusion.kappa
+        )
 
     def test_invalid_method_rejected(self):
         with pytest.raises(SystemExit):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from expbench import integrators
 from expbench.integrators import (
     InstabilityError,
     METHODS,
@@ -144,12 +145,17 @@ class TestExponentialSteps:
         exprb42_step(pb, u, tau, tol, backend)
         assert np.array_equal(seen[1], exprb_euler_step(pb, u, 0.75 * tau, tol, backend))
 
+    # "krylov2" is an evaluator without a phi entry point: a step must not
+    # route it to either backend's action
+    @pytest.mark.parametrize("backend", ["bogus", "krylov2"])
     @pytest.mark.parametrize("step", [exprb_euler_step, exprb42_step])
-    def test_unknown_backend_rejected_before_counted_work(self, step):
+    def test_unknown_backend_rejected_before_counted_work(self, step, backend, monkeypatch):
+        if backend == "krylov2":
+            monkeypatch.setitem(EVALUATORS, backend, EVALUATORS["krylov"])
         pb = AdvDiffProblem(31, "mixed")
         c = fresh_counter(31)
-        with use_counter(c), pytest.raises(ValueError, match="unknown backend 'bogus'"):
-            step(pb, pb.initial_state(), 0.25, 1e-7, "bogus")
+        with use_counter(c), pytest.raises(ValueError, match=f"unknown backend '{backend}'"):
+            step(pb, pb.initial_state(), 0.25, 1e-7, backend)
         assert c.events == {}
 
 
@@ -202,6 +208,23 @@ class TestIntegrate:
         for dt in (0.1, 0.1, 0.05):
             u = rk4_step(pb, u, dt)
         assert np.allclose(res.final_state, u, rtol=1e-12, atol=1e-14)
+
+    def test_tolerance_split_over_the_steps_taken(self, monkeypatch):
+        # t_end / tau = 3 + 2e-12 is three steps within rounding, and each
+        # of the three must get a third of the run's tolerance
+        tols = []
+        step = integrators.exprb_euler_step
+
+        def spy(problem, u, tau, tol, backend):
+            tols.append(tol)
+            return step(problem, u, tau, tol, backend)
+
+        monkeypatch.setattr(integrators, "exprb_euler_step", spy)
+        pb = AdvDiffProblem(31, "mixed")
+        config = MethodConfig("exprb-euler-krylov", 1.0 / (3.0 + 2e-12), 1e-6)
+        res = integrate(pb, config, pb.initial_state(), 1.0)
+        assert res.steps_taken == len(tols) == 3
+        assert math.fsum(tols) == pytest.approx(1e-6, rel=1e-12)
 
     @pytest.mark.parametrize("t_end", [0.0, math.nan, math.inf])
     def test_invalid_t_end(self, t_end):

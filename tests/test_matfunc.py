@@ -363,34 +363,6 @@ class TestKrylovPhiAction:
         assert res.iterations == 0
         assert np.all(res.y == 0.0)
 
-    @pytest.mark.parametrize("p", [0, 1, 3])
-    def test_dense_oracle_n50(self, p):
-        pb = advdiff(50)
-        dense = pb.to_dense()
-        rng = np.random.default_rng(8)
-        v = rng.standard_normal(50)
-        tau = 0.25
-        res = krylov_phi_action(lambda w: pb.rhs(w), p, tau, v, 1e-12)
-        oracle = dense_phi(tau * dense, p) @ v
-        assert np.linalg.norm(res.y - oracle) / np.linalg.norm(oracle) <= 1e-10
-
-    def test_iterations_match_matvec_count(self):
-        pb = advdiff(30)
-        v = np.ones(30)
-        c = fresh_counter(30)
-        with use_counter(c):
-            res = krylov_phi_action(lambda w: pb.rhs(w), 1, 0.1, v, 1e-10)
-        assert res.iterations == c.count("matvec")
-
-    def test_substepped_iterations_match_matvec_count(self):
-        pb, v, tau, tol = stiff_case()
-        c = fresh_counter(pb.n)
-        with use_counter(c):
-            res = krylov_phi_action(lambda w: pb.rhs(w), 1, tau, v, tol)
-        assert res.substeps > 1
-        assert res.iterations == c.count("matvec")
-        assert (res.iterations, res.substeps, c.events) == STIFF_COUNTS["krylov"]
-
     def test_request_validation(self):
         # bad input raises before any counted work, in either backend
         pb = advdiff(6)
@@ -556,17 +528,6 @@ class TestLejaPhiAction:
         res = leja_phi_action(Linearization(np.zeros_like, lambda: bounds), 1, 0.3, v, 1e-10)
         assert np.linalg.norm(res.y - v) <= 1e-9
 
-    @pytest.mark.parametrize("p", [0, 1, 3])
-    def test_dense_oracle_n50(self, p):
-        pb = advdiff(50)
-        dense = pb.to_dense()
-        rng = np.random.default_rng(9)
-        v = rng.standard_normal(50)
-        tau = 0.25
-        res = leja_phi_action(pb.linearize(), p, tau, v, 1e-12)
-        oracle = dense_phi(tau * dense, p) @ v
-        assert np.linalg.norm(res.y - oracle) / np.linalg.norm(oracle) <= 1e-10
-
     def test_converged_estimate_below_tolerance(self):
         pb = advdiff(40)
         v = np.ones(40)
@@ -594,23 +555,6 @@ class TestLejaPhiAction:
         assert warm.iterations == cold.iterations
         assert np.array_equal(warm.y, cold.y)
 
-    def test_iterations_match_matvec_count(self):
-        pb = advdiff(30)
-        v = np.ones(30)
-        c = fresh_counter(30)
-        with use_counter(c):
-            res = leja_phi_action(pb.linearize(), 1, 0.1, v, 1e-10)
-        assert res.iterations == c.count("matvec")
-
-    def test_substepped_iterations_match_matvec_count(self):
-        pb, v, tau, tol = stiff_case()
-        c = fresh_counter(pb.n)
-        with use_counter(c):
-            res = leja_phi_action(pb.linearize(), 1, tau, v, tol)
-        assert res.substeps > 1
-        assert res.iterations == c.count("matvec")
-        assert (res.iterations, res.substeps, c.events) == STIFF_COUNTS["leja"]
-
     def test_exhausted_point_budget_counts_its_applies(self, monkeypatch):
         # 16 points run out before tol=1e-10 is met, so the evaluation
         # substeps after budget failures rather than diverging terms
@@ -622,6 +566,45 @@ class TestLejaPhiAction:
             res = leja_phi_action(pb.linearize(), 1, 0.1, np.ones(30), 1e-10)
         assert res.substeps > 1
         assert res.iterations == c.count("matvec")
+
+
+def operator(pb, backend):
+    """The operator a backend's action is tested on: a bare callable for
+    Krylov, which needs no spectral bounds, and the linearization for Leja."""
+    return (lambda w: pb.rhs(w)) if backend == "krylov" else pb.linearize()
+
+
+class TestPhiAction:
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    @pytest.mark.parametrize("backend,seed", [("krylov", 8), ("leja", 9)], ids=["krylov", "leja"])
+    def test_dense_oracle_n50(self, backend, seed, p):
+        pb = advdiff(50)
+        dense = pb.to_dense()
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(50)
+        tau = 0.25
+        res = ACTIONS[backend](operator(pb, backend), p, tau, v, 1e-12)
+        oracle = dense_phi(tau * dense, p) @ v
+        assert np.linalg.norm(res.y - oracle) / np.linalg.norm(oracle) <= 1e-10
+
+    @pytest.mark.parametrize("backend", ACTIONS)
+    def test_iterations_match_matvec_count(self, backend):
+        pb = advdiff(30)
+        v = np.ones(30)
+        c = fresh_counter(30)
+        with use_counter(c):
+            res = ACTIONS[backend](operator(pb, backend), 1, 0.1, v, 1e-10)
+        assert res.iterations == c.count("matvec")
+
+    @pytest.mark.parametrize("backend", ACTIONS)
+    def test_substepped_iterations_match_matvec_count(self, backend):
+        pb, v, tau, tol = stiff_case()
+        c = fresh_counter(pb.n)
+        with use_counter(c):
+            res = ACTIONS[backend](operator(pb, backend), 1, tau, v, tol)
+        assert res.substeps > 1
+        assert res.iterations == c.count("matvec")
+        assert (res.iterations, res.substeps, c.events) == STIFF_COUNTS[backend]
 
 
 class TestPhiLinearCombination:
