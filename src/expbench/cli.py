@@ -13,6 +13,7 @@ import sys
 from .harness import (
     PRESETS,
     ExperimentSpec,
+    ReferenceNotConverged,
     build_problem,
     dump_fields,
     preset,
@@ -20,6 +21,7 @@ from .harness import (
     write_csv,
 )
 from .integrators import METHODS, IntegrationError, MethodConfig, integrate
+from .problems import NonPositiveDensityError
 
 
 def _parse_kappa(text: str):
@@ -114,6 +116,8 @@ def main(argv=None) -> int:
         else:
             spec = preset(args.name, full=args.full)
         return _do_run(spec, args.out, args.dump_fields)
-    except (ValueError, OSError, IntegrationError) as exc:
+    # NonPositiveDensityError and ReferenceNotConverged: a failed reference solve
+    except (ValueError, OSError, IntegrationError, NonPositiveDensityError,
+            ReferenceNotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

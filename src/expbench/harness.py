@@ -10,11 +10,16 @@ The cells of a sweep are independent integrations, and each one's results
 depend on nothing that runs beside it, so ``run_experiment`` runs them on
 forked worker processes, one per available CPU, and assembles the records
 in the parent in grid order: the CSVs are byte-identical to a run of one
-cell after another.  See ``run_experiment`` for when cells stay in-process.
+cell after another.  The step-halving passes of the Navier-Stokes
+reference are independent integrations too: ``compute_reference`` runs
+them on the same kind of pool and compares them in the parent in pass
+order, so it returns the pass that one pass after another would return,
+bit for bit.  See ``_fork_pool`` for when work stays in-process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -26,7 +31,7 @@ from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .counting import CSV_PRIMITIVES
+from .counting import CSV_PRIMITIVES, use_counter
 from .integrators import IntegrationError, MethodConfig, METHODS, integrate, rk4_step
 from .linalg import DEFAULT_DENSE_CAP, dense_expm
 from .problems import AdvDiffProblem, NavierStokesProblem
@@ -36,6 +41,11 @@ CSV_HEADER = ",".join(
 )
 
 REFERENCE_STEP_CAP = 2**20
+REFERENCE_RTOL = 1e-10
+
+
+class ReferenceNotConverged(RuntimeError):
+    """The NS reference's halving passes reached REFERENCE_STEP_CAP."""
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -107,9 +117,27 @@ def compute_reference(problem, t_end: float, tau_hint: float | None = None) -> n
 
     Linear 1D problem: exact dense propagator exp(t_end L) u0, for at
     most DEFAULT_DENSE_CAP (512) points; more raise ValueError.
-    Navier-Stokes: uncounted RK4 with successively halved step sizes until
-    two references differ by less than 1e-10 in relative l2.
+    Navier-Stokes: uncounted RK4, pass k with steps of (tau_hint / 16) / 2^k
+    (tau_hint defaults to t_end / 64), until two neighbouring passes differ
+    by less than 1e-10 in relative l2; a pass of more than
+    REFERENCE_STEP_CAP steps raises ReferenceNotConverged instead.
+
+    Each pass integrates from u0 on its own, so the passes run on forked
+    workers (see ``_fork_pool``), and this process compares them strictly
+    in pass order.  It returns the first pass that is within 1e-10 of the
+    one before, and an exception, from a pass or the cap, is raised only
+    at the pass where one pass after another would reach it: the result is
+    that of the serial loop, bit for bit.  The order in which passes are
+    submitted decides only the wall time: passes 0, 1 and 2 first, then
+    the last pass that the difference of passes 0 and 1 predicts, then the
+    passes between.  Passes past a prediction that was too low run one at a
+    time.  On return or raise, passes still queued are cancelled and passes
+    still running stop at their next step.
     """
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
+    if tau_hint is not None and not (math.isfinite(tau_hint) and tau_hint > 0):
+        raise ValueError(f"tau_hint must be finite and positive, got {tau_hint!r}")
     u0 = problem.initial_state()
     if t_end == 0.0:
         return u0
@@ -118,19 +146,70 @@ def compute_reference(problem, t_end: float, tau_hint: float | None = None) -> n
             raise ValueError(f"problem dimension {problem.n} exceeds cap {DEFAULT_DENSE_CAP}")
         return dense_expm(t_end * problem.to_dense()) @ u0
     tau = (tau_hint if tau_hint is not None else t_end / 64.0) / 16.0
-    prev = None
-    while True:
-        steps = max(1, math.ceil(t_end / tau))
-        if steps > REFERENCE_STEP_CAP:
-            raise RuntimeError("reference solution did not converge within step cap")
-        dt = t_end / steps
-        u = u0.copy()
-        for _k in range(steps):
-            u = rk4_step(problem, u, dt)
-        if prev is not None and error_norm(u, prev) < 1e-10:
-            return u
-        prev = u
+    steps = []  # the step count of each pass; only the last exceeds the cap
+    while not steps or steps[-1] <= REFERENCE_STEP_CAP:
+        steps.append(max(1, math.ceil(t_end / tau)))
         tau /= 2.0
+    stop = multiprocessing.get_context("fork").Event()
+    run_pass = functools.partial(_reference_pass, problem=problem, u0=u0, t_end=t_end, stop=stop)
+    with _fork_pool(run_pass, len(steps) - 1) as submit:
+        try:
+            return _first_converged_pass(submit, steps)
+        finally:
+            stop.set()  # a pass still running is not needed: end it now
+
+
+def _first_converged_pass(submit, steps):
+    """The first pass that ``submit`` runs within REFERENCE_RTOL of the
+    pass before, compared in pass order (see compute_reference)."""
+    passes = {}
+
+    def start(*ks):
+        for k in ks:
+            if k not in passes:
+                passes[k] = submit(steps[k])
+
+    start(*range(min(3, len(steps) - 1)))
+    prev = None
+    for k, n in enumerate(steps):
+        if n > REFERENCE_STEP_CAP:
+            raise ReferenceNotConverged(
+                f"reference solution did not converge within step cap "
+                f"{REFERENCE_STEP_CAP}: pass {k} needs {n} steps"
+            )
+        start(k)
+        u = passes[k].result()
+        if prev is not None:
+            diff = error_norm(u, prev)
+            if diff < REFERENCE_RTOL:
+                return u
+            if k == 1 and (last := _predict_last_pass(diff, steps)) is not None:
+                start(last, *range(3, last))
+        prev = u
+
+
+def _reference_pass(steps, problem, u0, t_end, stop):
+    """u0 advanced to t_end by ``steps`` uncounted RK4 steps, or None if
+    ``stop`` is set first."""
+    dt = t_end / steps
+    u = u0.copy()
+    with use_counter(None):
+        for _k in range(steps):
+            if stop.is_set():
+                return None
+            u = rk4_step(problem, u, dt)
+    return u
+
+
+def _predict_last_pass(diff, steps):
+    """The pass whose difference from the one before should first fall
+    below REFERENCE_RTOL, given ``diff`` between passes 0 and 1: RK4's
+    error falls about 16-fold with each halving.  None when ``diff`` is not
+    finite or that pass would exceed the step cap."""
+    if not math.isfinite(diff):
+        return None
+    last = 2 + math.floor(math.log(diff, 16) - math.log(REFERENCE_RTOL, 16))
+    return last if last < len(steps) - 1 else None
 
 
 def run_experiment(spec: ExperimentSpec, reference=None, problem=None):
@@ -140,17 +219,12 @@ def run_experiment(spec: ExperimentSpec, reference=None, problem=None):
     cell is integrated once and its counter re-totaled per zeta.  Explicit
     methods store tol None, so their cell serves every tol of the grid.
 
-    The distinct cells run on ``len(os.sched_getaffinity(0))`` worker
-    processes, at most one per cell, forked from this one, so they inherit
-    the problem, ``u0``, the reference and the Leja points if this process
-    generated them.  Each worker keeps its own divided-difference cache.
-    Only (error, counter, steps, converged) comes back; the records are
-    built here in grid order, so the CSV is byte-identical to an
-    in-process sweep.  Cells stay in-process with one CPU, and when the
-    ``integrate`` this module calls is not the package's own: a caller
-    that rebound it (a tracer, a spy) keeps its effects in this process's
-    memory, where a worker's would be lost.  An exception other than
-    ``IntegrationError`` propagates with its own type, from the first
+    The distinct cells run on forked workers, at most one per cell and
+    per CPU, or in this process (see ``_fork_pool``).  Each worker keeps
+    its own divided-difference cache.  Only (error, counter, steps,
+    converged) comes back; the records are built here in grid order, so
+    the CSV is byte-identical to an in-process sweep.  An exception other
+    than ``IntegrationError`` propagates with its own type, from the first
     failing cell in grid order, and every worker has exited before this
     function returns or raises.
     """
@@ -167,7 +241,9 @@ def run_experiment(spec: ExperimentSpec, reference=None, problem=None):
         _run_cell, problem=problem, u0=problem.initial_state(), t_end=spec.t_end,
         reference=reference,
     )
-    results = dict(zip(cells, _map_cells(cell, list(cells.values()))))
+    with _fork_pool(cell, len(cells)) as submit:
+        futures = [submit(config) for config in cells.values()]
+        results = dict(zip(cells, [future.result() for future in futures]))
     records = []
     for tol, config in grid:
         error, counter, steps, converged = results[astuple(config)]
@@ -205,30 +281,55 @@ def _run_cell(config, problem, u0, t_end, reference):
 _PACKAGE_INTEGRATE = (integrate,)
 
 
-def _map_cells(cell, configs) -> list:
-    """``[cell(c) for c in configs]``, on forked workers unless the cells
-    stay in-process (see run_experiment)."""
-    workers = min(len(os.sched_getaffinity(0)), len(configs))
+@contextlib.contextmanager
+def _fork_pool(fn, jobs: int):
+    """Yield ``submit(arg)``, which returns a future of ``fn(arg)``.
+
+    ``fn`` runs on ``min(len(os.sched_getaffinity(0)), jobs)`` worker
+    processes forked from this one, so it inherits what ``fn`` holds (the
+    problem, ``u0``, the reference, the Leja points if this process
+    generated them); only ``arg`` and the result cross a pipe.  It runs in
+    this process instead, when the future's result is asked for, with one
+    CPU, and when the ``integrate`` this module calls is not the package's
+    own: a caller that rebound it (a tracer, a spy) keeps its effects in
+    this process's memory, where a worker's would be lost.  A worker that
+    dies raises BrokenProcessPool from its futures.  When the block exits,
+    queued calls are cancelled and every worker has exited.
+    """
+    workers = min(len(os.sched_getaffinity(0)), jobs)
     if workers < 2 or integrate is not _PACKAGE_INTEGRATE[0]:
-        return list(map(cell, configs))
+        yield functools.partial(_Deferred, fn)
+        return
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_inherit_cell, initargs=(cell,),
+        initializer=_inherit, initargs=(fn,),
     )
-    with pool:
-        return list(pool.map(_run_inherited_cell, configs))
+    try:
+        yield functools.partial(pool.submit, _run_inherited)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-_inherited_cell = None  # in a forked worker: the cell function of its sweep
+class _Deferred:
+    """In-process stand-in for a future: ``result()`` calls ``fn(arg)``."""
+
+    def __init__(self, fn, arg):
+        self.fn, self.arg = fn, arg
+
+    def result(self):
+        return self.fn(self.arg)
 
 
-def _inherit_cell(cell) -> None:
-    global _inherited_cell
-    _inherited_cell = cell
+_inherited = None  # in a forked worker: the function its pool runs
 
 
-def _run_inherited_cell(config):
-    return _inherited_cell(config)
+def _inherit(fn) -> None:
+    global _inherited
+    _inherited = fn
+
+
+def _run_inherited(arg):
+    return _inherited(arg)
 
 
 def _fmt(x: float) -> str:

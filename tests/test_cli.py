@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from expbench import cli
+from expbench import cli, harness
 from expbench.cli import build_parser, main
 from expbench.harness import ExperimentSpec, preset, read_csv
 from expbench.integrators import METHODS
+
+from conftest import use_cpus
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -162,6 +164,30 @@ class TestEndToEnd:
         assert "error: density is not positive" in capsys.readouterr().err
         assert all(math.isinf(r.error) for r in read_csv(out))
         assert not (tmp_path / "fields").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "problem_args, cap, message",
+        [
+            # the reference's first pass, 16 RK4 steps of 4, loses density
+            (["--nu", "1e-6", "--tau", "64", "--t-end", "64"], None, "density is not positive"),
+            (["--nu", "1e-4", "--tau", "0.25", "--t-end", "0.25"], 8, "within step cap 8"),
+        ],
+        ids=["density", "step-cap"],
+    )
+    def test_failed_reference_reported_as_error(
+        self, tmp_path, capsys, monkeypatch, problem_args, cap, message, cpus
+    ):
+        if cap is not None:
+            monkeypatch.setattr(harness, "REFERENCE_STEP_CAP", cap)
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / "x.csv"
+        code = main(["run", "--problem", "ns", "--n", "8", *problem_args,
+                     "--methods", "rk4", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
 
 def test_runs_as_a_module_from_a_checkout():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing
 import os
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from expbench import harness, integrators, matfunc
+from expbench.counting import OpCounter, use_counter
 from expbench.harness import (
     CSV_HEADER,
     PRESETS,
@@ -110,7 +112,53 @@ class TestErrorNorm:
             error_norm(np.ones(2), np.ones(3))
 
 
+def serial_reference(problem, t_end, tau_hint):
+    """The NS reference computed one halving pass after another.  Returns
+    the reference and its pass index, or raises RuntimeError("pass k") at
+    the pass that exceeds the step cap."""
+    u0 = problem.initial_state()
+    tau = tau_hint / 16.0
+    prev = None
+    for k in itertools.count():
+        steps = max(1, math.ceil(t_end / tau))
+        if steps > harness.REFERENCE_STEP_CAP:
+            raise RuntimeError(f"pass {k}")
+        dt = t_end / steps
+        u = u0.copy()
+        for _k in range(steps):
+            u = integrators.rk4_step(problem, u, dt)
+        if prev is not None and error_norm(u, prev) < 1e-10:
+            return u, k
+        prev = u
+        tau /= 2.0
+
+
+class PassFault(Exception):
+    """An exception that a reference pass raises."""
+
+
+def spy_passes(monkeypatch, path, fault_steps=None):
+    """Append "pid steps" of each reference pass to ``path``; the pass of
+    ``fault_steps`` steps raises PassFault."""
+    run_pass = harness._reference_pass
+
+    def spy(steps, **kwargs):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {steps}\n")
+        if steps == fault_steps:
+            raise PassFault(f"{steps} steps")
+        return run_pass(steps, **kwargs)
+
+    monkeypatch.setattr(harness, "_reference_pass", spy)
+
+
 class TestComputeReference:
+    # on PROBLEM to t_end 0.25, hints 0.125, 0.25, 1 and 2 converge at
+    # pass 1, 2, 4 and 5; hint 1 takes 4, 8, 16, ... steps.  The NS
+    # reference's passes run on forked workers; the result, or the
+    # exception, must be that of one pass after another.
+    PROBLEM = NavierStokesProblem(8, 1e-4)
+
     def test_zero_horizon_returns_initial_state(self):
         pb = build_problem(small_spec())
         assert np.array_equal(compute_reference(pb, 0.0), pb.initial_state())
@@ -131,6 +179,124 @@ class TestComputeReference:
         ref = compute_reference(pb, 0.25, tau_hint=0.25)
         finer = compute_reference(pb, 0.25, tau_hint=0.125)
         assert error_norm(ref, finer) < 1e-9
+
+    @pytest.mark.parametrize(
+        "problem, t_end, tau_hint, message",
+        [
+            # before these checks, a negative or infinite hint returned a
+            # one-step "reference", 0 and nan raised ZeroDivisionError and
+            # "cannot convert float NaN", and t_end = -1 integrated backwards
+            (NavierStokesProblem(8, 1e-4), 0.25, -0.25, "tau_hint"),
+            (NavierStokesProblem(8, 1e-4), 0.25, math.inf, "tau_hint"),
+            (NavierStokesProblem(8, 1e-4), 0.25, 0.0, "tau_hint"),
+            (NavierStokesProblem(8, 1e-4), 0.25, math.nan, "tau_hint"),
+            (NavierStokesProblem(8, 1e-4), math.nan, None, "t_end"),
+            (NavierStokesProblem(8, 1e-4), math.inf, None, "t_end"),
+            (AdvDiffProblem(16, ("const", 1.0 / 80.0)), -1.0, None, "t_end"),
+        ],
+    )
+    def test_rejects_arguments_it_cannot_solve_for(self, problem, t_end, tau_hint, message, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(harness, "rk4_step", no_work)
+        monkeypatch.setattr(harness, "dense_expm", no_work)
+        with pytest.raises(ValueError, match=message):
+            compute_reference(problem, t_end, tau_hint=tau_hint)
+
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("offset", [0, -1, 1], ids=["predicted", "too-low", "too-high"])
+    @pytest.mark.parametrize("tau_hint", [0.125, 0.25, 1.0, 2.0])
+    def test_reference_is_the_serial_one(self, tau_hint, offset, cpus, monkeypatch):
+        oracle, last = serial_reference(self.PROBLEM, 0.25, tau_hint)
+        predict = harness._predict_last_pass
+        predicted = []
+
+        def forced(diff, steps):
+            predicted.append(predict(diff, steps))
+            return predicted[-1] + offset
+
+        monkeypatch.setattr(harness, "_predict_last_pass", forced)
+        use_cpus(monkeypatch, cpus)
+        ref = compute_reference(self.PROBLEM, 0.25, tau_hint=tau_hint)
+        assert np.array_equal(ref, oracle)
+        assert predicted == ([] if last == 1 else [last])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cap", [2, 8, 32])
+    def test_step_cap_raises_at_the_serial_pass(self, cap, cpus, monkeypatch):
+        monkeypatch.setattr(harness, "REFERENCE_STEP_CAP", cap)
+        with pytest.raises(RuntimeError) as serial:
+            serial_reference(self.PROBLEM, 0.25, 1.0)
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(harness.ReferenceNotConverged, match=f"{serial.value} needs"):
+            compute_reference(self.PROBLEM, 0.25, tau_hint=1.0)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("fault_pass", [2, 4, 5])
+    def test_failing_pass_raises_only_where_the_serial_loop_reaches_it(
+        self, fault_pass, cpus, monkeypatch, tmp_path
+    ):
+        # hint 1 converges at pass 4; a prediction one too high submits
+        # pass 5 too, so on two CPUs its fault happens and must be ignored
+        predict = harness._predict_last_pass
+        monkeypatch.setattr(harness, "_predict_last_pass", lambda d, s: predict(d, s) + 1)
+        spy_passes(monkeypatch, tmp_path / "passes", fault_steps=4 * 2**fault_pass)
+        use_cpus(monkeypatch, cpus)
+        if fault_pass <= 4:
+            with pytest.raises(PassFault, match=f"{4 * 2**fault_pass} steps"):
+                compute_reference(self.PROBLEM, 0.25, tau_hint=1.0)
+        else:
+            ref = compute_reference(self.PROBLEM, 0.25, tau_hint=1.0)
+            assert np.array_equal(ref, serial_reference(self.PROBLEM, 0.25, 1.0)[0])
+        ran = [int(line.split()[1]) for line in (tmp_path / "passes").read_text().splitlines()]
+        assert (4 * 2**fault_pass in ran) == (cpus == 2 or fault_pass <= 4)
+        assert multiprocessing.active_children() == []
+
+    def test_running_pass_past_the_returned_one_is_stopped(self, monkeypatch, tmp_path):
+        # hint 0.125 converges at pass 1, but pass 2 (128 steps) is submitted
+        # with passes 0 and 1; here it waits until the stop comes
+        run_pass = harness._reference_pass
+
+        def spy(steps, stop, **kwargs):
+            if steps != 128:
+                return run_pass(steps, stop=stop, **kwargs)
+            stopped = stop.wait(20)
+            result = run_pass(steps, stop=stop, **kwargs)
+            (tmp_path / "stopped").write_text(f"{stopped} {result is None}")
+            return result
+
+        monkeypatch.setattr(harness, "_reference_pass", spy)
+        use_cpus(monkeypatch, 2)
+        ref = compute_reference(self.PROBLEM, 0.25, tau_hint=0.125)
+        assert (tmp_path / "stopped").read_text() == "True True"
+        assert np.array_equal(ref, serial_reference(self.PROBLEM, 0.25, 0.125)[0])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("rebound", [False, True])
+    def test_passes_run_in_workers_unless_integrate_is_rebound(self, rebound, monkeypatch, tmp_path):
+        if rebound:
+            monkeypatch.setattr(harness, "integrate", lambda *args: None)
+        spy_passes(monkeypatch, tmp_path / "passes")
+        use_cpus(monkeypatch, 2)
+        ref = compute_reference(self.PROBLEM, 0.25, tau_hint=1.0)
+        assert np.array_equal(ref, serial_reference(self.PROBLEM, 0.25, 1.0)[0])
+        pids = {line.split()[0] for line in (tmp_path / "passes").read_text().splitlines()}
+        if rebound:
+            assert pids == {str(os.getpid())}
+        else:
+            assert str(os.getpid()) not in pids
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_reference_is_uncounted(self, cpus, monkeypatch):
+        use_cpus(monkeypatch, cpus)
+        counter = OpCounter(self.PROBLEM.cost_table())
+        with use_counter(counter):
+            compute_reference(self.PROBLEM, 0.25, tau_hint=1.0)
+        assert counter.events == {}
 
 
 class TestRunExperiment:
