@@ -11,7 +11,7 @@ The tier-1 suite does not collect this directory (``testpaths`` names only
 The inputs are those of the diffusion preset (n = 159,
 kappa = 1/80, tau = 0.25): the Hessenberg matrix of an Arnoldi run on the
 operator, and the Leja points shifted and scaled to its spectral interval.
-Both kernels are one ``dense_expm``, on one BLAS thread.
+Each kernel is one ``scipy.linalg.expm``, on one BLAS thread.
 """
 
 import numpy as np

@@ -116,8 +116,11 @@ def main(argv=None) -> int:
         else:
             spec = preset(args.name, full=args.full)
         return _do_run(spec, args.out, args.dump_fields)
-    # NonPositiveDensityError and ReferenceNotConverged: a failed reference solve
-    except (ValueError, OSError, IntegrationError, NonPositiveDensityError,
-            ReferenceNotConverged) as exc:
+    # integrate turns a cell's NonPositiveDensityError into InstabilityError,
+    # so one that gets here is from the reference solve
+    except NonPositiveDensityError as exc:
+        print(f"error: reference solve failed: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError, IntegrationError, ReferenceNotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

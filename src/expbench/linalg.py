@@ -1,16 +1,13 @@
-"""Counted vector primitives, the counted tridiagonal product, Gershgorin
-bounds and dense matrix functions.
+"""Counted vector primitives, the counted tridiagonal product and Gershgorin
+bounds.
 
-State vectors are plain 1D numpy arrays.  The functions ``dot``, ``norm2``,
+State vectors are plain 1D numpy arrays.  The functions ``norm2``,
 ``scale``, ``lincomb`` and ``copy_vector`` record their memory cost on the
 active :class:`~expbench.counting.OpCounter`; all algorithms in this package
-route state-vector-sized arithmetic through them, except the inner loops of
-Arnoldi and of the Leja Newton series in ``matfunc``, which run the same
-arithmetic inline and record the same events in bulk.
-
-The dense matrix exponential evaluates the small Hessenberg and divided-
-difference matrices inside the evaluators; the dense phi functions act as
-an independent oracle for the iterative evaluators in the tests.
+route state-vector-sized arithmetic through them, except three places in
+``matfunc`` that run the same arithmetic inline and record the same events
+in bulk: the inner products and updates of Arnoldi, the Newton series of
+Leja, and the ``lincomb`` of the augmented operator's apply.
 
 OpenBLAS's thread count changes the rounding of its products (``np.dot``
 of 20000 entries, the squarings of ``scipy.linalg.expm``).  So importing
@@ -34,20 +31,8 @@ import scipy.linalg
 
 from .counting import record
 
-DEFAULT_DENSE_CAP = 512
-
-
 # ---------------------------------------------------------------------------
 # counted vector primitives
-
-
-def dot(u, v) -> float:
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    record("dot")
-    return float(np.dot(u, v))
 
 
 def norm2(u) -> float:
@@ -148,7 +133,7 @@ def gershgorin_bounds(d, r) -> SpectralBounds:
 
 
 # ---------------------------------------------------------------------------
-# dense matrix functions
+# one BLAS thread
 
 
 def _blas_thread_setters() -> tuple:
@@ -170,39 +155,3 @@ def _blas_thread_setters() -> tuple:
 _BLAS_THREAD_SETTERS = _blas_thread_setters()
 for _setter in _BLAS_THREAD_SETTERS:
     _setter(1)
-
-
-def dense_expm(M) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring (Pade approximant)."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("dense_expm requires a square matrix")
-    if M.shape[0] == 0:
-        return np.zeros((0, 0))
-    return scipy.linalg.expm(M)
-
-
-def dense_phi(M, p: int) -> np.ndarray:
-    """phi_p(M) for p in {0, 1, 2, 3} via the augmented matrix exponential.
-
-    exp of the (p+1)-block companion matrix with M in the top-left corner
-    and identity blocks on the superdiagonal carries phi_k(M) in its
-    (0, k) block.
-    """
-    if p not in (0, 1, 2, 3):
-        raise ValueError(f"unsupported phi index {p}")
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("dense_phi requires a square matrix")
-    if M.shape[0] > DEFAULT_DENSE_CAP:
-        raise ValueError(f"matrix dimension {M.shape[0]} exceeds cap {DEFAULT_DENSE_CAP}")
-    if p == 0:
-        return dense_expm(M)
-    n = M.shape[0]
-    aug = np.zeros(((p + 1) * n, (p + 1) * n))
-    aug[:n, :n] = M
-    eye = np.eye(n)
-    for k in range(p):
-        aug[k * n : (k + 1) * n, (k + 1) * n : (k + 2) * n] = eye
-    E = dense_expm(aug)
-    return E[:n, p * n : (p + 1) * n]

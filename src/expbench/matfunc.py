@@ -54,16 +54,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .counting import record
-from .linalg import (
-    Linearization,
-    SpectralBounds,
-    dense_expm,
-    lincomb,
-    norm2,
-    scale,
-)
+from .linalg import Linearization, SpectralBounds, lincomb, norm2, scale
 
 DEFAULT_M_MAX = 100
 DEFAULT_LEJA_COUNT = 128
@@ -136,7 +130,7 @@ def hessenberg_phi_e1(Hm, q: int) -> np.ndarray:
     aug[:m, :m] = Hm
     aug[0, m] = 1.0
     aug[m : m + q - 1, m + 1 :] = np.eye(q - 1)
-    return dense_expm(aug)[:m, [0, *range(m, m + q)]]
+    return scipy.linalg.expm(aug)[:m, [0, *range(m, m + q)]]
 
 
 def _krylov_arnoldi(applyA, x, t, tol_abs, p):
@@ -199,7 +193,7 @@ def divided_differences_exp(points, scaling: float, p: int = 0) -> np.ndarray:
     Z = np.diag(np.concatenate([np.zeros(p), scaling * pts]))
     idx = np.arange(N - 1)
     Z[idx + 1, idx] = np.where(idx < p, 1.0, scaling)
-    return dense_expm(Z)[p:, 0].copy()
+    return scipy.linalg.expm(Z)[p:, 0].copy()
 
 
 _DD_BLOCK = 32  # leading Leja points whose coefficients are computed first

@@ -3,8 +3,9 @@
 import os
 
 import numpy as np
+import scipy.linalg
 
-from expbench.counting import CostTable, OpCounter, use_counter
+from expbench.counting import CostTable, OpCounter, record, use_counter
 from expbench.linalg import Linearization, gershgorin_bounds
 
 
@@ -51,6 +52,43 @@ def dense_gershgorin(M):
     return gershgorin_bounds(d, np.abs(M).sum(axis=1) - np.abs(d))
 
 
+def dot(u, v) -> float:
+    """Counted inner product, in the float order of Arnoldi's inline ones."""
+    u = np.asarray(u)
+    v = np.asarray(v)
+    if u.shape != v.shape:
+        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
+    record("dot")
+    return float(np.dot(u, v))
+
+
+def dense_phi(M, p: int) -> np.ndarray:
+    """phi_p(M) for p in {0, 1, 2, 3} via the augmented matrix exponential:
+    the dense oracle for the iterative evaluators.
+
+    exp of the (p+1)-block companion matrix with M in the top-left corner
+    and identity blocks on the superdiagonal carries phi_k(M) in its
+    (0, k) block.
+    """
+    if p not in (0, 1, 2, 3):
+        raise ValueError(f"unsupported phi index {p}")
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("dense_phi requires a square matrix")
+    if M.shape[0] > 512:
+        raise ValueError(f"matrix dimension {M.shape[0]} exceeds cap 512")
+    if p == 0:
+        return scipy.linalg.expm(M)
+    n = M.shape[0]
+    aug = np.zeros(((p + 1) * n, (p + 1) * n))
+    aug[:n, :n] = M
+    eye = np.eye(n)
+    for k in range(p):
+        aug[k * n : (k + 1) * n, (k + 1) * n : (k + 2) * n] = eye
+    E = scipy.linalg.expm(aug)
+    return E[:n, p * n : (p + 1) * n]
+
+
 def use_cpus(monkeypatch, count):
     """Make run_experiment see ``count`` available CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
@@ -70,6 +108,8 @@ __all__ = [
     "DenseLinearProblem",
     "dense_from_action",
     "dense_gershgorin",
+    "dense_phi",
+    "dot",
     "fresh_counter",
     "use_cpus",
     "use_counter",

@@ -10,11 +10,11 @@ import statistics
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from expbench.counting import OpCounter, use_counter
 from expbench.harness import compute_reference, error_norm
 from expbench.integrators import IntegrationError, MethodConfig, integrate
-from expbench.linalg import dense_expm, dense_phi
 from expbench.matfunc import krylov_phi_action, leja_phi_action
 from expbench.problems import (
     AdvDiffProblem,
@@ -23,7 +23,7 @@ from expbench.problems import (
     ns_rhs,
 )
 
-from conftest import dense_from_action
+from conftest import dense_from_action, dense_phi
 
 
 def _report(capsys, num: int, name: str, ok: bool, detail: str) -> None:
@@ -36,7 +36,7 @@ def _report(capsys, num: int, name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def advdiff159():
     problem = AdvDiffProblem(159, ("const", 1.0 / 80.0))
-    reference = dense_expm(1.0 * problem.to_dense()) @ problem.initial_state()
+    reference = expm(1.0 * problem.to_dense()) @ problem.initial_state()
     return problem, reference
 
 

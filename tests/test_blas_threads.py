@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from expbench import harness, linalg
+from expbench import harness, linalg, matfunc
 from expbench.integrators import MethodConfig, integrate
 from expbench.problems import AdvDiffProblem
 
@@ -90,7 +90,7 @@ def dense_expm_counts(monkeypatch):
         return expm(M)
 
     monkeypatch.setattr(scipy.linalg, "expm", spy)
-    linalg.dense_expm(np.eye(8))
+    matfunc.hessenberg_phi_e1(np.eye(8), 1)
     return seen
 
 

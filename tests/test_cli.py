@@ -161,7 +161,9 @@ class TestEndToEnd:
             ]
         )
         assert code == 1
-        assert "error: density is not positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: density is not positive" in err
+        assert "reference" not in err
         assert all(math.isinf(r.error) for r in read_csv(out))
         assert not (tmp_path / "fields").exists()
 
@@ -187,6 +189,7 @@ class TestEndToEnd:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert "reference" in err
         assert not out.exists()
 
 

@@ -2,10 +2,10 @@ import pytest
 
 from expbench import counting
 from expbench.counting import CSV_PRIMITIVES, CostTable, CountingError, use_counter
-from expbench.linalg import dot, lincomb
+from expbench.linalg import lincomb
 from expbench.problems import AdvDiffProblem, NavierStokesProblem
 
-from conftest import fresh_counter
+from conftest import dot, fresh_counter
 
 
 def advdiff_table(n):

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from expbench import harness, integrators, matfunc
 from expbench.counting import OpCounter, use_counter
@@ -24,7 +25,6 @@ from expbench.harness import (
     write_csv,
 )
 from expbench.integrators import METHODS
-from expbench.linalg import dense_expm
 from expbench.problems import AdvDiffProblem, NavierStokesProblem
 
 from conftest import use_cpus
@@ -166,7 +166,7 @@ class TestComputeReference:
     def test_linear_problem_uses_exact_propagator(self):
         pb = build_problem(small_spec())
         ref = compute_reference(pb, 0.5)
-        exact = dense_expm(0.5 * pb.to_dense()) @ pb.initial_state()
+        exact = scipy.linalg.expm(0.5 * pb.to_dense()) @ pb.initial_state()
         assert np.allclose(ref, exact, atol=1e-14)
 
     def test_dense_reference_rejects_more_than_512_points(self):
@@ -200,7 +200,7 @@ class TestComputeReference:
             raise AssertionError("work started")
 
         monkeypatch.setattr(harness, "rk4_step", no_work)
-        monkeypatch.setattr(harness, "dense_expm", no_work)
+        monkeypatch.setattr(scipy.linalg, "expm", no_work)
         with pytest.raises(ValueError, match=message):
             compute_reference(problem, t_end, tau_hint=tau_hint)
 

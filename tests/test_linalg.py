@@ -2,21 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from expbench.linalg import (
-    SpectralBounds,
-    apply_operator,
-    dense_expm,
-    dense_phi,
-    dot,
-    gershgorin_bounds,
-    lincomb,
-    norm2,
-    scale,
-)
+from expbench.linalg import SpectralBounds, apply_operator, gershgorin_bounds, lincomb, norm2, scale
 from expbench.problems import AdvDiffProblem
 
-from conftest import dense_from_action, dense_gershgorin, fresh_counter, use_counter
+from conftest import dense_from_action, dense_gershgorin, dense_phi, dot, fresh_counter, use_counter
 
 
 def small_problem():
@@ -130,31 +121,6 @@ class TestVectorPrimitives:
         assert c.count("dot") == 1  # norm counted as one inner product
 
 
-class TestDenseExpm:
-    def test_zero_matrix(self):
-        assert np.allclose(dense_expm(np.zeros((2, 2))), np.eye(2))
-
-    def test_diagonal(self):
-        E = dense_expm(np.diag([1.0, -1.0]))
-        assert np.allclose(np.diag(E), [math.e, 1.0 / math.e])
-
-    def test_nilpotent(self):
-        E = dense_expm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert np.allclose(E, [[1.0, 1.0], [0.0, 1.0]])
-
-    def test_inverse_identity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(3):
-            M = rng.standard_normal((6, 6))
-            M *= 5.0 / np.linalg.norm(M)
-            P = dense_expm(M) @ dense_expm(-M)
-            assert np.linalg.norm(P - np.eye(6)) / np.sqrt(6) < 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            dense_expm(np.zeros((2, 3)))
-
-
 class TestDensePhi:
     def test_limit_values_at_zero(self):
         assert dense_phi(np.zeros((1, 1)), 1)[0, 0] == pytest.approx(1.0)
@@ -165,7 +131,7 @@ class TestDensePhi:
 
     def test_phi0_is_exp(self):
         M = np.array([[0.3, 0.1], [0.0, -0.2]])
-        assert np.allclose(dense_phi(M, 0), dense_expm(M))
+        assert np.allclose(dense_phi(M, 0), expm(M))
 
     def test_unsupported_index(self):
         with pytest.raises(ValueError):

@@ -10,15 +10,7 @@ from hypothesis import strategies as st
 from expbench import matfunc
 from expbench.harness import ExperimentSpec, run_experiment
 from expbench.integrators import METHODS, MethodConfig, PhiConvergenceError, integrate
-from expbench.linalg import (
-    Linearization,
-    SpectralBounds,
-    dense_phi,
-    dot,
-    lincomb,
-    norm2,
-    scale,
-)
+from expbench.linalg import Linearization, SpectralBounds, lincomb, norm2, scale
 from expbench.matfunc import (
     DEFAULT_M_MAX,
     EVALUATORS,
@@ -33,7 +25,7 @@ from expbench.matfunc import (
 )
 from expbench.problems import AdvDiffProblem, NavierStokesProblem
 
-from conftest import dense_from_action, dense_gershgorin, fresh_counter, use_counter
+from conftest import dense_from_action, dense_gershgorin, dense_phi, dot, fresh_counter, use_counter
 
 
 def advdiff(n, kappa=1.0 / 80.0):
