@@ -174,6 +174,12 @@ class TestComputeReference:
         with pytest.raises(ValueError, match="exceeds cap 512"):
             compute_reference(pb, 0.5)
 
+    def test_dense_reference_accepts_512_points(self):
+        assert harness.REFERENCE_DENSE_CAP == 512
+        pb = AdvDiffProblem(512, ("const", 1.0 / 80.0))
+        ref = compute_reference(pb, 0.01)
+        assert ref.shape == (512,) and np.all(np.isfinite(ref))
+
     def test_nonlinear_reference_self_consistent(self):
         pb = NavierStokesProblem(8, 1e-4)
         ref = compute_reference(pb, 0.25, tau_hint=0.25)

@@ -423,6 +423,17 @@ class TestDividedDifferences:
             divided_differences_exp([1.0, 1.0], 1.0)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_single_point_phi_p_limit(self, p):
+        # phi_p(0) = 1/p!: the p confluent zero nodes alone
+        dd = divided_differences_exp([0.0], 3.0, p)
+        assert dd[0] == pytest.approx(1.0 / math.factorial(p), rel=1e-14)
+
+    def test_integer_points_give_float_coefficients(self):
+        dd = divided_differences_exp([0, 1], 1)
+        assert dd.dtype == np.float64
+        assert dd == pytest.approx([1.0, math.e - 1.0], rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("scaling", [0.5, 5.0, 20.0, 80.0])
     def test_phi_p_matches_block_phi_formula(self, p, scaling):
         # reference: first column of phi_p of the K x K bidiagonal node matrix
@@ -490,6 +501,38 @@ class TestHessenbergPhi:
         for k in range(q + 1):
             expected = dense_phi(H, k)[:, 0]
             assert np.max(np.abs(cols[:, k] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_zero_matrix_gives_limit_values(self):
+        # phi_k(0) e_1 = e_1 / k!
+        cols = hessenberg_phi_e1(np.zeros((4, 4)), 3)
+        expected = np.zeros((4, 4))
+        expected[0] = [1.0 / math.factorial(k) for k in range(4)]
+        assert np.allclose(cols, expected, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("z", [-1.5, 0.5])
+    def test_diagonal_gives_scalar_phi_values(self, z):
+        cols = hessenberg_phi_e1(np.diag([z, 2.0, -3.0]), 3)
+        e = math.exp(z)
+        scalar = [e, (e - 1.0) / z, (e - 1.0 - z) / z**2, (e - 1.0 - z - z * z / 2.0) / z**3]
+        assert cols[0] == pytest.approx(scalar, rel=1e-12)
+        assert np.all(cols[1:] == 0.0)
+
+    def test_nilpotent_series_terminates(self):
+        # N e_1 = e_2 and N^2 = 0, so phi_k(N) e_1 = e_1 / k! + e_2 / (k+1)!
+        cols = hessenberg_phi_e1(np.array([[0.0, 0.0], [1.0, 0.0]]), 3)
+        for k in range(4):
+            expected = [1.0 / math.factorial(k), 1.0 / math.factorial(k + 1)]
+            assert cols[:, k] == pytest.approx(expected, rel=1e-14)
+
+    def test_recurrence(self):
+        # H phi_k(H) e_1 = phi_{k-1}(H) e_1 - e_1 / (k-1)!
+        rng = np.random.default_rng(3)
+        H = np.triu(rng.standard_normal((6, 6)), -1)
+        cols = hessenberg_phi_e1(H, 3)
+        e1 = np.eye(6)[0]
+        for k in (1, 2, 3):
+            rhs = cols[:, k - 1] - e1 / math.factorial(k - 1)
+            assert np.linalg.norm(H @ cols[:, k] - rhs) < 1e-12 * max(1.0, np.linalg.norm(rhs))
 
     def test_stiff_diffusion_hessenberg(self):
         # Hessenberg matrix of a stiff operator: ||tau H|| ~ 300
