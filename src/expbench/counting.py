@@ -6,11 +6,13 @@ inner product, scalar multiply, linear combination, plain fetch/store).
 Each primitive has a fixed memory-operation cost per call, a whole number
 of state-vector lengths L.  The vector primitives cost the same on every
 problem; each problem states the costs of its own operator primitives in
-its ``cost_table``.  Inner products are additionally weighted by ``zeta``,
-the argument of ``total_cost``, which models the cost of reductions on
-distributed machines (zeta = 1 for a desktop, zeta = 10 as a representative
-supercomputer value).  The event counts do not depend on zeta, so one run
-is totalled for any number of zeta values.
+its ``operator_costs``, and a run's ``OpCounter(problem.dimension,
+problem.operator_costs)`` prices every event it records.  Inner products
+are additionally weighted by ``zeta``, the argument of ``total_cost``,
+which models the cost of reductions on distributed machines (zeta = 1 for
+a desktop, zeta = 10 as a representative supercomputer value).  The
+event counts do not depend on zeta, so one run is totalled for any number
+of zeta values.
 
 Small dense work (Hessenberg matrix functions, divided differences) is
 deliberately NOT counted: only state-vector-sized memory traffic enters
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass, field
 
 # Cost per call of the vector primitives shared by every problem, in units
 # of L.  A linear combination of k vectors costs k + 1.
@@ -36,15 +37,17 @@ CSV_PRIMITIVES = ("matvec", "jacvec", "rhs", "dot", "lincomb", "scale", "fetch",
 
 
 class CountingError(ValueError):
-    """Raised when a primitive is recorded against a table that lacks it."""
+    """Raised when a primitive is recorded that the counter does not price."""
 
 
-class CostTable:
-    """Per-primitive memory-operation costs of one problem.
+class OpCounter:
+    """Tally of the counted primitive events of one run, priced per call.
 
     ``state_len`` is the state-vector length L; ``operator_costs`` maps each
     of the problem's own operator primitives to its cost per call in units
-    of L.  ``units`` merges them with the shared vector costs.
+    of L, and ``units`` merges them with the shared vector costs.  ``tally``
+    is the summed cost, in units of L, of every event but the inner
+    products, which ``total_cost`` weights by zeta.
     """
 
     def __init__(self, state_len: int, operator_costs: dict):
@@ -52,6 +55,8 @@ class CostTable:
             raise CountingError("state length must be positive")
         self.state_len = state_len
         self.units = {**_VECTOR_COSTS, **operator_costs}
+        self.events = {}
+        self.tally = 0
 
     def weight(self, primitive: str, k: int | None = None) -> int:
         """Cost of one call of ``primitive`` in units of L.
@@ -65,31 +70,18 @@ class CostTable:
         try:
             return self.units[primitive]
         except KeyError:
-            raise CountingError(f"primitive {primitive!r} is not part of this table") from None
+            raise CountingError(f"primitive {primitive!r} is not priced by this counter") from None
 
     def unit_cost(self, primitive: str, k: int | None = None) -> int:
         """Memory operations for one call of ``primitive``."""
         return self.weight(primitive, k) * self.state_len
-
-
-@dataclass
-class OpCounter:
-    """Tally of counted primitive events for a single run context.
-
-    ``tally`` is the summed cost, in units of L, of every event but the
-    inner products, which ``total_cost`` weights by zeta.
-    """
-
-    table: CostTable
-    events: dict = field(default_factory=dict)
-    tally: int = 0
 
     def record(self, primitive: str, k: int | None = None, times: int = 1) -> None:
         """Record ``times`` events of ``primitive`` (``k`` vectors for lincomb).
 
         Equivalent to ``times`` single records; ``times = 0`` records nothing.
         """
-        weight = self.table.weight(primitive, k)
+        weight = self.weight(primitive, k)
         if times < 0:
             raise CountingError("times must be non-negative")
         if times:
@@ -102,8 +94,7 @@ class OpCounter:
 
     def total_cost(self, zeta: float) -> float:
         """Memory operations of all events, inner products weighted by zeta."""
-        table = self.table
-        return self.tally * table.state_len + zeta * (self.count("dot") * table.unit_cost("dot"))
+        return self.tally * self.state_len + zeta * (self.count("dot") * self.unit_cost("dot"))
 
     def breakdown(self) -> dict:
         """Event counts for every CSV primitive (zero if never recorded)."""

@@ -286,18 +286,20 @@ _PACKAGE_INTEGRATE = (integrate,)
 def _fork_pool(fn, jobs: int):
     """Yield ``submit(arg)``, which returns a future of ``fn(arg)``.
 
-    ``fn`` runs on ``min(len(os.sched_getaffinity(0)), jobs)`` worker
-    processes forked from this one, so it inherits what ``fn`` holds (the
-    problem, ``u0``, the reference, the Leja points if this process
-    generated them); only ``arg`` and the result cross a pipe.  It runs in
-    this process instead, when the future's result is asked for, with one
-    CPU, and when the ``integrate`` this module calls is not the package's
-    own: a caller that rebound it (a tracer, a spy) keeps its effects in
-    this process's memory, where a worker's would be lost.  A worker that
-    dies raises BrokenProcessPool from its futures.  When the block exits,
-    queued calls are cancelled and every worker has exited.
+    ``fn`` runs on ``min(cpus, jobs)`` worker processes forked from this
+    one, so it inherits what ``fn`` holds (the problem, ``u0``, the
+    reference, the Leja points if this process generated them); only
+    ``arg`` and the result cross a pipe.  ``cpus`` counts
+    ``os.sched_getaffinity(0)``, or is 1 where Python lacks it (macOS).
+    It runs in this process instead, when the future's result is asked
+    for, with one CPU, and when the ``integrate`` this module calls is not
+    the package's own: a caller that rebound it (a tracer, a spy) keeps its
+    effects in this process's memory, where a worker's would be lost.  A
+    worker that dies raises BrokenProcessPool from its futures.  When the
+    block exits, queued calls are cancelled and every worker has exited.
     """
-    workers = min(len(os.sched_getaffinity(0)), jobs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, jobs)
     if workers < 2 or integrate is not _PACKAGE_INTEGRATE[0]:
         yield functools.partial(_Deferred, fn)
         return

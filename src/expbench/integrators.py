@@ -166,7 +166,7 @@ def integrate(problem, config: MethodConfig, u0, t_end: float) -> RunResult:
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
-    counter = OpCounter(problem.cost_table())
+    counter = OpCounter(problem.dimension, problem.operator_costs)
     steps = 0
     step_name, backend = METHODS[config.method]
     step = globals()[step_name]

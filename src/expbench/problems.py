@@ -9,11 +9,13 @@
   copies, in the floating-point order of the shifted-copy formulas.
 
 Both expose the interface the integrators expect: ``rhs``, ``linearize``,
-``initial_state``, ``dimension``, ``cost_table``.  ``linearize(u)`` returns
-a ``linalg.Linearization``: calling it applies the Jacobian frozen at ``u`` (one
-counted Jacobian event per call, its state-dependent terms computed once),
-and its ``bounds`` are the Gershgorin box of that Jacobian, computed on
-first access and never counted.
+``initial_state``, ``dimension`` and ``operator_costs``, the cost per
+call of each operator primitive in units of ``dimension``.
+``linearize(u)`` returns a ``linalg.Linearization``: calling it applies
+the Jacobian frozen at ``u`` (one counted Jacobian event per call, its
+state-dependent terms computed once), and its ``bounds`` are the
+Gershgorin box of that Jacobian, computed on first access and never
+counted.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 
-from .counting import CostTable, record
+from .counting import record
 from .linalg import Linearization, apply_operator, gershgorin_bounds
 
 
@@ -58,6 +60,9 @@ class AdvDiffProblem:
     super-diagonal kappa_i/h^2 - 1/(2h); ``sub[0]`` and ``sup[-1]`` are
     never referenced (boundary values vanish).
     """
+
+    # A stencil product costs 2n.
+    operator_costs = {"matvec": 2}
 
     def __init__(self, n: int, kappa):
         if n < 1:
@@ -101,10 +106,6 @@ class AdvDiffProblem:
     def linearize(self, u=None) -> Linearization:
         """w -> A w with its bounds; A does not depend on the state."""
         return self._jacobian
-
-    def cost_table(self) -> CostTable:
-        """A stencil product costs 2n."""
-        return CostTable(self.dimension, {"matvec": 2})
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +297,9 @@ def vorticity(state, n: int) -> np.ndarray:
 class NavierStokesProblem:
     """2D compressible isothermal Navier-Stokes, periodic, state length 3 n^2."""
 
+    # A Jacobian action costs 21N, a right-hand side 12N.
+    operator_costs = {"jacvec": 7, "rhs": 4}
+
     def __init__(self, n: int, nu: float):
         if n < 4:
             raise ValueError("need at least 4 grid points per axis")
@@ -317,10 +321,6 @@ class NavierStokesProblem:
 
     def linearize(self, state) -> Linearization:
         return ns_linearize(state, self.n, self.nu)
-
-    def cost_table(self) -> CostTable:
-        """A Jacobian action costs 21N, a right-hand side 12N."""
-        return CostTable(self.dimension, {"jacvec": 7, "rhs": 4})
 
     def fields(self, state):
         """(rho, u, v, omega) as n x n grids."""

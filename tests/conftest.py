@@ -5,7 +5,7 @@ import os
 import numpy as np
 import scipy.linalg
 
-from expbench.counting import CostTable, OpCounter, record, use_counter
+from expbench.counting import OpCounter, record, use_counter
 from expbench.linalg import Linearization, gershgorin_bounds
 
 
@@ -15,6 +15,8 @@ class DenseLinearProblem:
     ``bounds_computed`` counts the evaluations of the linearization's
     bounds thunk.
     """
+
+    operator_costs = {"matvec": 2}
 
     def __init__(self, M):
         self.M = np.asarray(M, dtype=float)
@@ -35,13 +37,10 @@ class DenseLinearProblem:
 
         return Linearization(lambda w: self.M @ np.asarray(w, dtype=float), bounds)
 
-    def cost_table(self) -> CostTable:
-        return CostTable(self.n, {"matvec": 2})
-
 
 def fresh_counter(n=10) -> OpCounter:
-    """A counter on the advection-diffusion table with state length n."""
-    return OpCounter(CostTable(n, {"matvec": 2}))
+    """A counter on the advection-diffusion costs with state length n."""
+    return OpCounter(n, {"matvec": 2})
 
 
 def dense_gershgorin(M):

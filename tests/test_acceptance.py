@@ -172,18 +172,18 @@ def test_criterion_5_cost_model_identities(capsys, advdiff159):
     rk4 = integrate(problem, MethodConfig(method="rk4", tau=0.25), u0, 0.25).counter
     rk4_ok = (
         rk4.count("matvec") == 4
-        and rk4.table.unit_cost("matvec") == 2 * n
+        and rk4.unit_cost("matvec") == 2 * n
         and rk4.total_cost(1.0) == 25 * n
     )
     # (c) one rhs evaluation costs 12N, one Jacobian action 21N
     ns_n = 12
     N = ns_n * ns_n
     ns = NavierStokesProblem(ns_n, 1e-4)
-    counter = OpCounter(ns.cost_table())
+    counter = OpCounter(ns.dimension, ns.operator_costs)
     with use_counter(counter):
         ns_rhs(ns.initial_state(), ns_n, ns.nu)
     rhs_cost = counter.total_cost(1.0)
-    counter = OpCounter(ns.cost_table())
+    counter = OpCounter(ns.dimension, ns.operator_costs)
     with use_counter(counter):
         ns_linearize(ns.initial_state(), ns_n, ns.nu)(np.ones(3 * N))
     jac_cost = counter.total_cost(1.0)

@@ -81,7 +81,8 @@ def blas_thread_counts():
     return [setter(1) for setter in linalg._BLAS_THREAD_SETTERS]
 
 
-def dense_expm_counts(monkeypatch):
+def hessenberg_phi_counts(monkeypatch):
+    """The counts inside scipy's expm, called from the Krylov dense kernel."""
     seen = []
     expm = scipy.linalg.expm
 
@@ -107,8 +108,8 @@ def integrate_counts(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("run", [dense_expm_counts, integrate_counts],
-                         ids=["dense_expm", "integrate"])
+@pytest.mark.parametrize("run", [hessenberg_phi_counts, integrate_counts],
+                         ids=["hessenberg_phi", "integrate"])
 def test_calls_run_on_a_single_blas_thread(monkeypatch, run):
     """Inside each call and after it both builds hold one thread: no call
     sets or restores a count of its own."""

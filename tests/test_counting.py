@@ -1,28 +1,34 @@
+import numpy as np
 import pytest
 
 from expbench import counting
-from expbench.counting import CSV_PRIMITIVES, CostTable, CountingError, use_counter
+from expbench.counting import CSV_PRIMITIVES, CountingError, OpCounter, use_counter
+from expbench.integrators import MethodConfig, integrate
 from expbench.linalg import lincomb
 from expbench.problems import AdvDiffProblem, NavierStokesProblem
 
-from conftest import dot, fresh_counter
+from conftest import DenseLinearProblem, dot, fresh_counter
 
 
-def advdiff_table(n):
-    return AdvDiffProblem(n, ("const", 1.0 / 80.0)).cost_table()
+def problem_counter(problem):
+    return OpCounter(problem.dimension, problem.operator_costs)
 
 
-def ns_table(n):
-    return NavierStokesProblem(n, 1e-4).cost_table()
+def advdiff_counter(n):
+    return problem_counter(AdvDiffProblem(n, ("const", 1.0 / 80.0)))
 
 
-class TestCostTable:
+def ns_counter(n):
+    return problem_counter(NavierStokesProblem(n, 1e-4))
+
+
+class TestUnitCosts:
     def test_nonpositive_size_rejected(self):
         with pytest.raises(CountingError):
-            CostTable(0, {"matvec": 2})
+            OpCounter(0, {"matvec": 2})
 
     def test_1d_unit_costs(self):
-        t = advdiff_table(159)
+        t = advdiff_counter(159)
         assert t.state_len == 159
         assert t.unit_cost("matvec") == 318  # 2n
         assert t.unit_cost("dot") == 318
@@ -33,7 +39,7 @@ class TestCostTable:
 
     def test_ns_unit_costs(self):
         N = 160 * 160
-        t = ns_table(160)
+        t = ns_counter(160)
         assert t.state_len == 3 * N
         assert t.unit_cost("jacvec") == 21 * N == 537600
         assert t.unit_cost("rhs") == 12 * N
@@ -41,15 +47,35 @@ class TestCostTable:
         assert t.unit_cost("scale") == 6 * N
         assert t.unit_cost("lincomb", k=2) == 9 * N
 
-    def test_primitive_not_in_table(self):
+    def test_primitive_not_priced(self):
         with pytest.raises(CountingError):
-            advdiff_table(10).unit_cost("jacvec")
+            advdiff_counter(10).unit_cost("jacvec")
         with pytest.raises(CountingError):
-            ns_table(10).unit_cost("matvec")
+            ns_counter(10).unit_cost("matvec")
 
     def test_lincomb_requires_k(self):
         with pytest.raises(CountingError):
-            advdiff_table(10).unit_cost("lincomb")
+            advdiff_counter(10).unit_cost("lincomb")
+
+
+@pytest.mark.parametrize(
+    "problem, operator_units",
+    [
+        (AdvDiffProblem(31, ("const", 1.0 / 80.0)), {"matvec": 2 * 31}),
+        (NavierStokesProblem(8, 1e-4), {"jacvec": 21 * 64, "rhs": 12 * 64}),
+        (DenseLinearProblem(-np.eye(5)), {"matvec": 2 * 5}),
+    ],
+    ids=["advdiff", "ns", "dense"],
+)
+def test_run_counter_takes_state_length_and_costs_from_the_problem(problem, operator_units):
+    L = problem.dimension
+    c = integrate(problem, MethodConfig(method="rk2", tau=1e-3), np.full(L, 0.5), 1e-3).counter
+    assert c.state_len == L
+    for primitive, units in operator_units.items():
+        assert c.unit_cost(primitive) == units
+    assert c.unit_cost("dot") == c.unit_cost("scale") == 2 * L
+    for k in (1, 2, 5):
+        assert c.unit_cost("lincomb", k=k) == (k + 1) * L
 
 
 class TestOpCounter:

@@ -299,7 +299,7 @@ class TestComputeReference:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_reference_is_uncounted(self, cpus, monkeypatch):
         use_cpus(monkeypatch, cpus)
-        counter = OpCounter(self.PROBLEM.cost_table())
+        counter = OpCounter(self.PROBLEM.dimension, self.PROBLEM.operator_costs)
         with use_counter(counter):
             compute_reference(self.PROBLEM, 0.25, tau_hint=1.0)
         assert counter.events == {}
@@ -468,6 +468,21 @@ class TestParallelSweep:
         with pytest.raises(CellFault, match="rk4"):
             run_experiment(small_spec(methods=("rk4", "rk2"), taus=(0.25,)))
         assert multiprocessing.active_children() == []
+
+
+def test_sweep_and_reference_run_in_process_without_sched_getaffinity(monkeypatch, tmp_path):
+    # Python on macOS has no os.sched_getaffinity; the pool then counts one CPU
+    spec = small_spec()
+    use_cpus(monkeypatch, 1)
+    write_csv(run_experiment(spec), tmp_path / "one-cpu.csv")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    record_cell_pids(monkeypatch, tmp_path / "pids")
+    write_csv(run_experiment(spec), tmp_path / "no-affinity.csv")
+    assert set((tmp_path / "pids").read_text().split()) == {str(os.getpid())}
+    assert (tmp_path / "no-affinity.csv").read_bytes() == (tmp_path / "one-cpu.csv").read_bytes()
+    problem = TestComputeReference.PROBLEM
+    oracle, _ = serial_reference(problem, 0.25, 1.0)
+    assert np.array_equal(compute_reference(problem, 0.25, tau_hint=1.0), oracle)
 
 
 class TestCsv:

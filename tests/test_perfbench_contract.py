@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from expbench import harness
-from expbench.integrators import METHODS
+from expbench.integrators import METHODS, MethodConfig, integrate
 from expbench.problems import AdvDiffProblem
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -91,12 +91,13 @@ def test_every_workload_builds_a_permuted_spec():
 
 def test_every_workload_states_one_state_length():
     # the benchmark recomputes L for its zeta-identity check; it must be the
-    # L the problem's cost table totals with
+    # L that a run's counter totals with
     for name in workloads.WORKLOADS:
         spec = workloads.build_spec(harness, name, 1)
         problem = harness.build_problem(spec)
-        L = workloads.state_length(spec)
-        assert L == problem.dimension == problem.cost_table().state_len
+        u0 = problem.initial_state()
+        run = integrate(problem, MethodConfig(method="rk2", tau=1e-6), u0, 1e-6)
+        assert workloads.state_length(spec) == run.counter.state_len
 
 
 def traced_sweep(methods) -> spans.Tracer:
