@@ -336,8 +336,6 @@ def _run_inherited(arg):
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
     return f"{x:.17g}"
 
 

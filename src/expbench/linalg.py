@@ -110,16 +110,17 @@ class Linearization:
         return self._bounds()
 
 
-def apply_operator(sub, diag, sup, u) -> np.ndarray:
-    """Counted tridiagonal matrix-vector product; row i of the matrix is
-    (sub[i], diag[i], sup[i]), and sub[0] and sup[-1] are never referenced."""
+def apply_operator(lower, diag, upper, u) -> np.ndarray:
+    """Counted tridiagonal matrix-vector product; the matrix has ``diag`` on
+    its diagonal and the n - 1 entries of ``lower`` and ``upper`` below and
+    above it."""
     u = np.asarray(u, dtype=float)
     if u.shape != diag.shape:
         raise ValueError(f"expected vector of length {diag.size}, got {u.shape}")
     record("matvec")
     y = diag * u
-    y[1:] += sub[1:] * u[:-1]
-    y[:-1] += sup[:-1] * u[1:]
+    y[1:] += lower * u[:-1]
+    y[:-1] += upper * u[1:]
     return y
 
 

@@ -57,8 +57,9 @@ class AdvDiffProblem:
     ``kappa`` is a profile, ``("const", c)`` or ``"mixed"``.  On n interior
     points with h = 1/(n+1), row i of the tridiagonal operator has the
     sub-diagonal kappa_i/h^2 + 1/(2h), the diagonal -2 kappa_i/h^2 and the
-    super-diagonal kappa_i/h^2 - 1/(2h); ``sub[0]`` and ``sup[-1]`` are
-    never referenced (boundary values vanish).
+    super-diagonal kappa_i/h^2 - 1/(2h).  ``lower`` holds the sub-diagonals
+    of rows 1..n-1 and ``upper`` the super-diagonals of rows 0..n-2, n - 1
+    entries each (boundary values vanish).
     """
 
     # A stencil product costs 2n.
@@ -76,22 +77,18 @@ class AdvDiffProblem:
             raise ValueError("diffusion coefficient must be finite and positive on the grid")
         c = k / h**2
         a = 1.0 / (2.0 * h)
-        self.sub, self.diag, self.sup = c + a, -2.0 * c, c - a
+        self.lower, self.diag, self.upper = (c + a)[1:], -2.0 * c, (c - a)[:-1]
         self._u0 = x * (1.0 - x)
         self._jacobian = Linearization(self.rhs, self._gershgorin)
 
     def _gershgorin(self):
         r = np.zeros(self.n)
-        r[:-1] += np.abs(self.sup[:-1])
-        r[1:] += np.abs(self.sub[1:])
+        r[:-1] += np.abs(self.upper)
+        r[1:] += np.abs(self.lower)
         return gershgorin_bounds(self.diag, r)
 
     def to_dense(self) -> np.ndarray:
-        M = np.diag(self.diag)
-        idx = np.arange(self.n - 1)
-        M[idx + 1, idx] = self.sub[1:]
-        M[idx, idx + 1] = self.sup[:-1]
-        return M
+        return np.diag(self.lower, -1) + np.diag(self.diag) + np.diag(self.upper, 1)
 
     @property
     def dimension(self) -> int:
@@ -101,7 +98,7 @@ class AdvDiffProblem:
         return self._u0.copy()
 
     def rhs(self, u) -> np.ndarray:
-        return apply_operator(self.sub, self.diag, self.sup, u)
+        return apply_operator(self.lower, self.diag, self.upper, u)
 
     def linearize(self, u=None) -> Linearization:
         """w -> A w with its bounds; A does not depend on the state."""

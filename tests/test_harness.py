@@ -169,6 +169,13 @@ class TestComputeReference:
         exact = scipy.linalg.expm(0.5 * pb.to_dense()) @ pb.initial_state()
         assert np.allclose(ref, exact, atol=1e-14)
 
+    def test_single_point_reference_is_a_scalar_exponential(self):
+        pb = AdvDiffProblem(1, "mixed")
+        expected = math.exp(0.5 * pb.diag[0]) * pb.initial_state()
+        ref = compute_reference(pb, 0.5)
+        assert ref.shape == (1,)
+        assert ref[0] == pytest.approx(expected[0], rel=1e-14)
+
     def test_dense_reference_rejects_more_than_512_points(self):
         pb = build_problem(small_spec(n=513))
         with pytest.raises(ValueError, match="exceeds cap 512"):

@@ -15,16 +15,28 @@ def small_problem():
 
 
 def apply(pb, u):
-    return apply_operator(pb.sub, pb.diag, pb.sup, u)
+    return apply_operator(pb.lower, pb.diag, pb.upper, u)
 
 
 class TestBuildOperator:
     def test_three_point_stencil_values(self):
         # n=3, kappa=1/80, h=1/4: kappa/h^2 = 0.2, 1/(2h) = 2
         pb = small_problem()
-        assert np.allclose(pb.sub, 2.2)
+        assert pb.lower.shape == pb.upper.shape == (2,)
+        assert np.allclose(pb.lower, 2.2)
         assert np.allclose(pb.diag, -0.4)
-        assert np.allclose(pb.sup, -1.8)
+        assert np.allclose(pb.upper, -1.8)
+
+    @pytest.mark.parametrize("profile", [("const", 1.0 / 80.0), "mixed"])
+    def test_off_diagonals_hold_their_rows_stencil_values(self, profile):
+        # n=3, h=1/4: row i has sub-diagonal 16 kappa_i + 2 and
+        # super-diagonal 16 kappa_i - 2; row 0 has no sub-diagonal and
+        # row 2 no super-diagonal
+        pb = AdvDiffProblem(3, profile)
+        kappa = -pb.diag / 32.0
+        assert pb.lower.shape == pb.upper.shape == (2,)
+        assert np.array_equal(pb.lower, 16.0 * kappa[1:] + 2.0)
+        assert np.array_equal(pb.upper, 16.0 * kappa[:-1] - 2.0)
 
     def test_dense_assembly(self):
         M = small_problem().to_dense()
@@ -75,12 +87,45 @@ class TestApplyOperator:
         with pytest.raises(ValueError):
             apply(small_problem(), np.zeros(4))
 
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_off_diagonal_of_n_entries_is_rejected(self, n):
+        # an off-diagonal padded to n entries fails instead of being misapplied
+        pb = AdvDiffProblem(n, "mixed")
+        padded = np.zeros(n)
+        u = np.ones(n)
+        with pytest.raises(ValueError):
+            apply_operator(padded, pb.diag, pb.upper, u)
+        with pytest.raises(ValueError):
+            apply_operator(pb.lower, pb.diag, padded, u)
+
     def test_cost_is_2n(self):
         pb = AdvDiffProblem(159, ("const", 1.0 / 80.0))
         c = fresh_counter(159)
         with use_counter(c):
             apply(pb, np.zeros(159))
         assert c.total_cost(1.0) == 318
+
+
+class TestSinglePoint:
+    # n = 1: the operator is its diagonal, with empty off-diagonals
+    PB = AdvDiffProblem(1, "mixed")
+
+    def test_off_diagonals_are_empty(self):
+        assert self.PB.lower.shape == self.PB.upper.shape == (0,)
+
+    def test_rhs_is_the_diagonal_product(self):
+        u = np.array([0.7])
+        assert np.array_equal(self.PB.rhs(u), self.PB.diag * u)
+
+    def test_dense_matrix_is_one_by_one(self):
+        M = self.PB.to_dense()
+        assert M.shape == (1, 1)
+        assert M[0, 0] == self.PB.diag[0]
+
+    def test_gershgorin_box_is_the_diagonal_point(self):
+        b = self.PB.linearize().bounds
+        d = float(self.PB.diag[0])
+        assert (b.real_min, b.real_max, b.imag_halfwidth) == (d, d, 0.0)
 
 
 class TestVectorPrimitives:
