@@ -5,7 +5,7 @@ import pytest
 
 from expbench.linalg import norm2, scale
 from expbench.matfunc import arnoldi_extend
-from expbench.problems import AdvDiffProblem, shear_flow_init
+from expbench.problems import AdvDiffProblem, NavierStokesProblem
 
 N_ADVDIFF = 159
 N_GRID = 40  # Navier-Stokes grid points per axis
@@ -35,8 +35,14 @@ def advdiff():
 
 
 @pytest.fixture(scope="session")
-def ns_state():
+def ns():
+    """The Navier-Stokes problem of the NS benchmarks: n = 40, nu = 1e-4."""
+    return NavierStokesProblem(N_GRID, NU)
+
+
+@pytest.fixture(scope="session")
+def ns_state(ns):
     """The Navier-Stokes state of the NS benchmarks: the n = 40 shear flow
     plus a 1e-3 normal perturbation drawn from seed 0."""
     rng = np.random.default_rng(0)
-    return shear_flow_init(N_GRID) + 1e-3 * rng.standard_normal(3 * N_GRID**2)
+    return ns.initial_state() + 1e-3 * rng.standard_normal(3 * N_GRID**2)

@@ -14,9 +14,6 @@ mostly the Python overhead per inner product and vector update.
 """
 
 from expbench import matfunc
-from expbench.problems import ns_linearize
-
-from conftest import N_GRID, NU
 
 ARNOLDI_STEPS = 40
 
@@ -26,8 +23,8 @@ def test_arnoldi_advdiff(benchmark, arnoldi, advdiff):
     assert extended == ARNOLDI_STEPS
 
 
-def test_arnoldi_ns_frozen_jacobian(benchmark, arnoldi, ns_state):
-    applyJ = ns_linearize(ns_state, N_GRID, NU)
+def test_arnoldi_ns_frozen_jacobian(benchmark, arnoldi, ns, ns_state):
+    applyJ = ns.linearize(ns_state)
     _V, _H, extended = benchmark(arnoldi, applyJ, ns_state, ARNOLDI_STEPS)
     assert extended == ARNOLDI_STEPS
 

@@ -16,12 +16,7 @@ from expbench.counting import OpCounter, use_counter
 from expbench.harness import compute_reference, error_norm
 from expbench.integrators import IntegrationError, MethodConfig, integrate
 from expbench.matfunc import krylov_phi_action, leja_phi_action
-from expbench.problems import (
-    AdvDiffProblem,
-    NavierStokesProblem,
-    ns_linearize,
-    ns_rhs,
-)
+from expbench.problems import AdvDiffProblem, NavierStokesProblem, ns_rhs
 
 from conftest import dense_from_action, dense_phi
 
@@ -185,7 +180,7 @@ def test_criterion_5_cost_model_identities(capsys, advdiff159):
     rhs_cost = counter.total_cost(1.0)
     counter = OpCounter(ns.dimension, ns.operator_costs)
     with use_counter(counter):
-        ns_linearize(ns.initial_state(), ns_n, ns.nu)(np.ones(3 * N))
+        ns.linearize(ns.initial_state())(np.ones(3 * N))
     jac_cost = counter.total_cost(1.0)
     ns_ok = rhs_cost == 12 * N and jac_cost == 21 * N
     ok = zeta_ok and rk4_ok and ns_ok
@@ -244,7 +239,7 @@ def test_criterion_8_jacobian_consistency(capsys):
     worst = 0.0
     eps = 1e-6
     for state in (init, mid):
-        J = dense_from_action(ns_linearize(state, n, nu), dim)
+        J = dense_from_action(problem.linearize(state), dim)
         Jfd = np.zeros((dim, dim))
         for j in range(dim):
             e = np.zeros(dim)

@@ -239,6 +239,15 @@ class TestIntegrate:
         assert excinfo.value.counter is not None
         assert excinfo.value.steps >= 1
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_state_is_instability(self, value, monkeypatch):
+        monkeypatch.setattr(integrators, "rk2_step", lambda problem, u, tau: np.full(u.shape, value))
+        pb = AdvDiffProblem(8, ("const", 1.0 / 80.0))
+        with pytest.raises(InstabilityError) as excinfo:
+            integrate(pb, MethodConfig(method="rk2", tau=0.1), pb.initial_state(), 1.0)
+        assert excinfo.value.steps == 1
+        assert excinfo.value.counter is not None
+
     def test_rk4_single_step_cost_closed_form(self):
         # schedule on the 1D table: initial state copy (fetch + store = 2n),
         # 4 stencil products (4 * 2n), three 2-vector combinations for the

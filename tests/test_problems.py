@@ -10,13 +10,9 @@ from expbench.problems import (
     NavierStokesProblem,
     NonPositiveDensityError,
     _dx,
-    _kappa_fn,
     _dy,
     _lap,
-    ns_linearize,
     ns_rhs,
-    shear_flow_init,
-    vorticity,
 )
 
 from conftest import dense_from_action, use_counter
@@ -123,9 +119,13 @@ def roll_spectral_bounds(state, n, nu):
     return float(np.min(d - r)), float(np.max(d + r)), float(np.max(r))
 
 
+def shear_flow(n):
+    return NavierStokesProblem(n, 0.0).initial_state()
+
+
 def perturbed_shear_flow(n, seed):
     rng = np.random.default_rng(seed)
-    return shear_flow_init(n) + 0.05 * rng.standard_normal(3 * n * n)
+    return shear_flow(n) + 0.05 * rng.standard_normal(3 * n * n)
 
 
 def lopsided_velocity_state(n):
@@ -137,19 +137,34 @@ def lopsided_velocity_state(n):
     return np.concatenate([rho, 1e-4 * rng.standard_normal(N), 10.0 * rng.standard_normal(N)])
 
 
+def mixed_kappa(x):
+    return 33.0 / 5120.0 + 31.0 / 5120.0 * math.tanh(20.0 * x - 16.0)
+
+
 class TestKappaProfiles:
+    """The operator's diagonal is -2 kappa(x_i) / h^2 at x_i = (i + 1) h."""
+
+    @pytest.mark.parametrize("n", [4, 1999])
+    @pytest.mark.parametrize(
+        "profile,kappa",
+        [(("const", 0.125), lambda x: 0.125), ("mixed", mixed_kappa)],
+        ids=["const", "mixed"],
+    )
+    def test_diagonal_is_the_profile(self, n, profile, kappa):
+        h = 1.0 / (n + 1)
+        k = np.array([kappa(xi) for xi in (np.arange(n) + 1) * h])
+        assert np.array_equal(AdvDiffProblem(n, profile).diag, -2.0 * k / h**2)
+
     def test_mixed_midpoint_value(self):
-        k = _kappa_fn("mixed")
-        assert k(0.8) == pytest.approx(33.0 / 5120.0)
+        # n = 4: h = 0.2, and the last grid point is x = 0.8, where tanh is 0
+        assert AdvDiffProblem(4, "mixed").diag[3] == -2.0 * (33.0 / 5120.0) / 0.2**2
 
     def test_mixed_asymptotic_values(self):
-        k = _kappa_fn("mixed")
-        assert k(0.0) == pytest.approx(1.0 / 2560.0, rel=1e-9)
-        assert k(1.0) == pytest.approx(1.0 / 80.0, rel=1e-3)
-
-    def test_const_profile(self):
-        k = _kappa_fn(("const", 0.125))
-        assert k(0.3) == 0.125
+        n = 1999  # grid points 1/2000 from either end
+        h = 1.0 / (n + 1)
+        k = AdvDiffProblem(n, "mixed").diag / (-2.0 / h**2)
+        assert k[0] == pytest.approx(1.0 / 2560.0, rel=1e-9)
+        assert k[-1] == pytest.approx(1.0 / 80.0, rel=1e-3)
 
     def test_invalid_profile(self):
         with pytest.raises(ValueError):
@@ -195,10 +210,8 @@ class TestPeriodicStencils:
         states = (perturbed_shear_flow(n, 0), perturbed_shear_flow(n, 1), lopsided_velocity_state(n))
         for state in states:
             reference = roll_spectral_bounds(state, n, nu)
-            b = ns_linearize(state, n, nu).bounds
+            b = NavierStokesProblem(n, nu).linearize(state).bounds
             assert (b.real_min, b.real_max, b.imag_halfwidth) == reference
-            J = NavierStokesProblem(n, nu).linearize(state)
-            assert (J.bounds.real_min, J.bounds.real_max, J.bounds.imag_halfwidth) == reference
 
 
 class TestFrozenLinearization:
@@ -236,12 +249,12 @@ class TestFrozenLinearization:
         w = np.random.default_rng(51).standard_normal(3 * n * n)
         expected = roll_jacobian_action(state, w, n, pb.nu)
         applyJ = pb.linearize(state)
-        state[:] = shear_flow_init(n)
+        state[:] = shear_flow(n)
         assert np.array_equal(applyJ(w), expected)
 
     def test_linearize_rejects_nonpositive_density(self):
         n = 8
-        state = shear_flow_init(n)
+        state = shear_flow(n)
         state[3] = 0.0
         with pytest.raises(NonPositiveDensityError):
             NavierStokesProblem(n, 1e-4).linearize(state)
@@ -270,34 +283,34 @@ class TestNavierStokesRhs:
     def test_density_equation_sums_to_zero(self):
         n = 10
         rng = np.random.default_rng(20)
-        state = shear_flow_init(n) + 0.05 * rng.standard_normal(3 * n * n)
+        state = shear_flow(n) + 0.05 * rng.standard_normal(3 * n * n)
         f = ns_rhs(state, n, 1e-4)
         assert abs(np.sum(f[: n * n])) < 1e-12
 
     def test_nonpositive_density_rejected(self):
         n = 6
-        state = shear_flow_init(n)
+        state = shear_flow(n)
         state[0] = -1.0
         with pytest.raises(NonPositiveDensityError):
             ns_rhs(state, n, 1e-3)
         with pytest.raises(NonPositiveDensityError):
-            ns_linearize(state, n, 1e-3)(np.ones_like(state))
+            NavierStokesProblem(n, 1e-3).linearize(state)(np.ones_like(state))
 
     def test_rhs_cost_is_12N(self):
         n = 8
         N = n * n
         c = OpCounter(3 * N, NavierStokesProblem.operator_costs)
         with use_counter(c):
-            ns_rhs(shear_flow_init(n), n, 1e-4)
+            ns_rhs(shear_flow(n), n, 1e-4)
         assert c.total_cost(1.0) == 12 * N
 
     def test_finite_difference_consistency_second_order(self):
         n = 8
         nu = 1e-4
         rng = np.random.default_rng(21)
-        state = shear_flow_init(n) + 0.02 * rng.standard_normal(3 * n * n)
+        state = shear_flow(n) + 0.02 * rng.standard_normal(3 * n * n)
         w = rng.standard_normal(3 * n * n)
-        jw = ns_linearize(state, n, nu)(w)
+        jw = NavierStokesProblem(n, nu).linearize(state)(w)
         diffs = []
         for eps in (1e-4, 1e-5):
             fd = (ns_rhs(state + eps * w, n, nu) - ns_rhs(state - eps * w, n, nu)) / (2 * eps)
@@ -311,10 +324,10 @@ class TestNavierStokesJacobian:
         n = 8
         nu = 1e-4
         rng = np.random.default_rng(22)
-        state = shear_flow_init(n) + 0.02 * rng.standard_normal(3 * n * n)
+        state = shear_flow(n) + 0.02 * rng.standard_normal(3 * n * n)
         w1 = rng.standard_normal(3 * n * n)
         w2 = rng.standard_normal(3 * n * n)
-        applyJ = ns_linearize(state, n, nu)
+        applyJ = NavierStokesProblem(n, nu).linearize(state)
         lhs = applyJ(1.5 * w1 - 2.0 * w2)
         rhs = 1.5 * applyJ(w1) - 2.0 * applyJ(w2)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
@@ -325,18 +338,20 @@ class TestNavierStokesJacobian:
         N = n * n
         c = OpCounter(3 * N, NavierStokesProblem.operator_costs)
         with use_counter(c):
-            ns_linearize(shear_flow_init(n), n, 1e-4)(np.ones(3 * N))
+            pb = NavierStokesProblem(n, 1e-4)
+            pb.linearize(pb.initial_state())(np.ones(3 * N))
         assert c.total_cost(1.0) == 21 * N
 
     def test_spectral_bounds_contain_jacobian_eigenvalues(self):
         n = 8
         nu = 1e-3
         rng = np.random.default_rng(23)
+        pb = NavierStokesProblem(n, nu)
         for state in (
-            shear_flow_init(n),
-            shear_flow_init(n) + 0.05 * rng.standard_normal(3 * n * n),
+            pb.initial_state(),
+            pb.initial_state() + 0.05 * rng.standard_normal(3 * n * n),
         ):
-            applyJ = ns_linearize(state, n, nu)
+            applyJ = pb.linearize(state)
             lam = np.linalg.eigvals(dense_from_action(applyJ, 3 * n * n))
             b = applyJ.bounds
             assert np.all(lam.real >= b.real_min - 1e-10)
@@ -354,21 +369,17 @@ class TestShearFlowInit:
         assert v[2, 2] == pytest.approx(5e-3, rel=1e-12)
 
     def test_density_uniform_one(self):
-        state = shear_flow_init(40)
+        state = shear_flow(40)
         assert np.all(state[:1600] == 1.0)
 
     def test_velocity_at_domain_bottom(self):
         n = 30
-        _rho, u, _v = (
-            shear_flow_init(n)[: n * n].reshape(n, n),
-            shear_flow_init(n)[n * n : 2 * n * n].reshape(n, n),
-            None,
-        )
+        u = shear_flow(n)[n * n : 2 * n * n].reshape(n, n)
         assert u[0, 0] == pytest.approx(0.1 * math.tanh(-7.5), rel=1e-12)
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
-            shear_flow_init(3)
+            NavierStokesProblem(3, 1e-6)
 
 
 class TestVorticity:
@@ -376,7 +387,7 @@ class TestVorticity:
         n = 12
         N = n * n
         state = np.concatenate([np.ones(N), 0.4 * np.ones(N), -0.1 * np.ones(N)])
-        assert np.allclose(vorticity(state, n), 0.0, atol=1e-15)
+        assert np.allclose(NavierStokesProblem(n, 0.0).fields(state)[3], 0.0, atol=1e-15)
 
     def test_sine_field_closed_form(self):
         n = 16
@@ -387,11 +398,12 @@ class TestVorticity:
         v = np.sin(2.0 * np.pi * X)
         state = np.concatenate([np.ones(N), np.zeros(N), v.ravel()])
         expected = (np.sin(2 * np.pi * (X + h)) - np.sin(2 * np.pi * (X - h))) / (2 * h)
-        assert np.allclose(vorticity(state, n), expected, atol=1e-13)
+        assert np.allclose(NavierStokesProblem(n, 0.0).fields(state)[3], expected, atol=1e-13)
 
     def test_shear_layer_extrema_locations(self):
         n = 60
-        om = vorticity(shear_flow_init(n), n)
+        pb = NavierStokesProblem(n, 0.0)
+        om = pb.fields(pb.initial_state())[3]
         row_amplitude = np.max(np.abs(om), axis=1)
         peaks = np.argsort(row_amplitude)[-2:]
         y_peaks = sorted(p / n for p in peaks)
@@ -404,7 +416,7 @@ class TestStructuralProperties:
         n = 12
         nu = 1e-4
         rng = np.random.default_rng(24)
-        state = shear_flow_init(n) + 0.05 * rng.standard_normal(3 * n * n)
+        state = shear_flow(n) + 0.05 * rng.standard_normal(3 * n * n)
 
         def shift(s, kx, ky):
             parts = [s[i * n * n : (i + 1) * n * n].reshape(n, n) for i in range(3)]
