@@ -21,7 +21,8 @@ the model, dense m-by-m work is assumed cache resident.
 ``record(primitive, k, times)`` records ``times`` identical events in one
 call; a loop that performs the same primitive many times (the Gram-Schmidt
 passes of Arnoldi, the terms of a Newton series) records them in bulk.  The
-tally is the same as ``times`` single records.
+tally is the same as ``times`` single records.  ``count`` reads the events
+of one primitive; which counts a sweep reports is stated in ``harness``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ import contextvars
 # Cost per call of the vector primitives shared by every problem, in units
 # of L.  A linear combination of k vectors costs k + 1.
 _VECTOR_COSTS = {"fetch": 1, "store": 1, "scale": 2, "dot": 2}
-
-CSV_PRIMITIVES = ("matvec", "jacvec", "rhs", "dot", "lincomb", "scale", "fetch", "store")
 
 
 class CountingError(ValueError):
@@ -95,10 +94,6 @@ class OpCounter:
     def total_cost(self, zeta: float) -> float:
         """Memory operations of all events, inner products weighted by zeta."""
         return self.tally * self.state_len + zeta * (self.count("dot") * self.unit_cost("dot"))
-
-    def breakdown(self) -> dict:
-        """Event counts for every CSV primitive (zero if never recorded)."""
-        return {p: self.count(p) for p in CSV_PRIMITIVES}
 
 
 _ACTIVE: contextvars.ContextVar = contextvars.ContextVar("active_op_counter", default=None)

@@ -1,10 +1,13 @@
-"""Experiment runner: work-precision sweeps, reference solutions, CSV output.
+"""Experiment runner: work-precision sweeps, reference solutions, and what a
+sweep writes, which only this module states: the CSV columns
+(``CSV_PRIMITIVES`` in order, ``CSV_HEADER``) and one number format, ``_fmt``.
 
 An experiment is the Cartesian product of (method, tau, tol, zeta) on one
 problem instance.  Every cell integrates to t_end, measures the relative
 l2 error against a reference solution and captures the operation counter.
-Unstable or non-convergent cells are recorded with the "inf" error sentinel
-rather than dropped.
+A cell whose error is finite but above 1 keeps it, with converged false;
+unstable, non-convergent or non-finite cells are recorded with the "inf"
+error sentinel rather than dropped.
 
 The cells of a sweep are independent integrations, and each one's results
 depend on nothing that runs beside it, so ``run_experiment`` runs them on
@@ -27,15 +30,16 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .counting import CSV_PRIMITIVES, use_counter
+from .counting import use_counter
 from .integrators import IntegrationError, MethodConfig, METHODS, integrate, rk4_step
 from .problems import AdvDiffProblem, NavierStokesProblem
 
+CSV_PRIMITIVES = ("matvec", "jacvec", "rhs", "dot", "lincomb", "scale", "fetch", "store")
 CSV_HEADER = ",".join(
     ("method", "tau", "tol", "zeta", "error", "total_cost", "steps", *CSV_PRIMITIVES, "converged")
 )
@@ -91,8 +95,8 @@ class WorkPrecisionRecord:
     error: float
     total_cost: float
     steps: int
-    counts: dict = field(default_factory=dict)
-    converged: bool = True
+    counts: dict
+    converged: bool
 
 
 def build_problem(spec: ExperimentSpec):
@@ -258,7 +262,7 @@ def run_experiment(spec: ExperimentSpec, reference=None, problem=None):
                     error=error,
                     total_cost=counter.total_cost(zeta),
                     steps=steps,
-                    counts=counter.breakdown(),
+                    counts={p: counter.count(p) for p in CSV_PRIMITIVES},
                     converged=converged,
                 )
             )
@@ -387,7 +391,7 @@ def dump_fields(problem: NavierStokesProblem, state, outdir) -> None:
     for name, grid in (("rho", rho), ("u", u), ("v", v), ("omega", omega)):
         with open(os.path.join(outdir, f"{name}.csv"), "w") as fh:
             for row in grid:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+                fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -216,3 +216,11 @@ def test_readme_cli_examples_parse():
             build_parser().parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_csv_columns_match_the_header():
+    """The column line under README's "Output CSV columns" is the header
+    that ``write_csv`` writes."""
+    text = (ROOT / "README.md").read_text()
+    line = text.split("Output CSV columns:\n", 1)[1].splitlines()[0]
+    assert line == f"`{harness.CSV_HEADER}`."

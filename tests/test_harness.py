@@ -12,6 +12,7 @@ from expbench import harness, integrators, matfunc
 from expbench.counting import OpCounter, use_counter
 from expbench.harness import (
     CSV_HEADER,
+    CSV_PRIMITIVES,
     PRESETS,
     ExperimentSpec,
     WorkPrecisionRecord,
@@ -24,7 +25,7 @@ from expbench.harness import (
     run_experiment,
     write_csv,
 )
-from expbench.integrators import METHODS
+from expbench.integrators import METHODS, MethodConfig, integrate
 from expbench.problems import AdvDiffProblem, NavierStokesProblem
 
 from conftest import use_cpus
@@ -329,6 +330,20 @@ class TestRunExperiment:
                 9.0 * a.counts["dot"] * 2 * 16
             )
 
+    def test_each_record_counts_every_csv_primitive_in_order(self):
+        spec = small_spec(methods=("rk4",), taus=(0.125,), tols=(1e-4,))
+        records = run_experiment(spec)
+        pb = build_problem(spec)
+        cell = integrate(pb, MethodConfig(method="rk4", tau=0.125), pb.initial_state(), spec.t_end)
+        assert [r.zeta for r in records] == [1.0, 10.0]
+        for r in records:
+            assert list(r.counts) == list(CSV_PRIMITIVES)
+            assert r.counts["matvec"] == cell.counter.count("matvec") == 4 * r.steps
+            assert r.counts["jacvec"] == r.counts["rhs"] == 0
+        # the two zeta records of one cell hold equal but distinct dicts
+        assert records[0].counts == records[1].counts
+        assert records[0].counts is not records[1].counts
+
     def test_unstable_cells_flagged_with_inf(self):
         spec = small_spec(
             n=159,
@@ -344,6 +359,25 @@ class TestRunExperiment:
         assert math.isinf(by_method["rk2"].error)
         assert by_method["exprb-euler-krylov"].converged
         assert by_method["exprb-euler-krylov"].error < 1e-5
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["nan", "negated"])
+    def test_caller_reference_classifies_each_cell(self, flip):
+        """Against the negated true reference every error stays finite, near
+        2, and unconverged; against an all-NaN one every error is inf."""
+        spec = small_spec(
+            methods=tuple(m for m, (_step, backend) in METHODS.items() if backend),
+            taus=(0.25,), tols=(1e-7,), zetas=(1.0,),
+        )
+        pb = build_problem(spec)
+        reference = -compute_reference(pb, spec.t_end) if flip else np.full(pb.n, np.nan)
+        records = run_experiment(spec, reference=reference, problem=pb)
+        assert [r.method for r in records] == list(spec.methods)
+        for r in records:
+            assert not r.converged
+            if flip:
+                assert 1.0 < r.error < 3.0
+            else:
+                assert r.error == math.inf
 
     def test_tightening_tolerance_is_monotone(self):
         spec = small_spec(
@@ -541,6 +575,14 @@ class TestDumpFields:
             lines = (out / f"{name}.csv").read_text().splitlines()
             assert len(lines) == 8
             assert all(len(line.split(",")) == 8 for line in lines)
+
+    def test_grids_round_trip_exactly(self, tmp_path):
+        pb = NavierStokesProblem(8, 1e-4)
+        rng = np.random.default_rng(7)
+        state = pb.initial_state() + 1e-3 * rng.standard_normal(pb.dimension)
+        dump_fields(pb, state, tmp_path)
+        for name, grid in zip(("rho", "u", "v", "omega"), pb.fields(state)):
+            assert np.array_equal(np.loadtxt(tmp_path / f"{name}.csv", delimiter=","), grid)
 
 
 class TestPresets:
