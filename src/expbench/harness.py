@@ -358,7 +358,7 @@ def write_csv(records, path) -> None:
                 _fmt(r.total_cost),
                 str(r.steps),
             ]
-            row += [str(counts.get(p, 0)) for p in CSV_PRIMITIVES]
+            row += [str(counts[p]) for p in CSV_PRIMITIVES]
             row.append("true" if r.converged else "false")
             fh.write(",".join(row) + "\n")
 

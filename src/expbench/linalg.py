@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,9 +37,11 @@ from .counting import record
 
 
 def norm2(u) -> float:
-    """Euclidean norm, counted as one inner product."""
+    """Euclidean norm, counted as one inner product: sqrt(u . u), the formula
+    of ``np.linalg.norm`` for a real vector, without its dispatch."""
     record("dot")
-    return float(np.linalg.norm(np.asarray(u)))
+    u = np.asarray(u, dtype=float).ravel(order="K")
+    return math.sqrt(u.dot(u))
 
 
 def scale(alpha: float, u) -> np.ndarray:

@@ -55,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .counting import record
 from .linalg import Linearization, SpectralBounds, lincomb, norm2, scale
@@ -97,22 +98,28 @@ def arnoldi_extend(applyA, V, H, j: int, beta: float) -> bool:
 
     Each pass runs the arithmetic of ``dot`` and ``lincomb([1.0, -h_ij],
     [w, v_i])`` inline, in the same float order, on one copy of the
-    operator's result, and records its j + 1 inner products and j + 1
-    two-term linear combinations in bulk.
+    operator's result and one scratch vector, and adds its j + 1 inner
+    products to column j of ``H`` at once.  The 2(j + 1) inner products and
+    2(j + 1) two-term linear combinations of both passes are recorded in
+    bulk.
     """
     # the copy keeps the in-place updates off an array the operator returned
     # as is (its own input, a row of the basis, for the identity)
     w = np.array(applyA(V[j]), dtype=float)
     if w.shape != V[j].shape:
         raise ValueError(f"length mismatch: {V[j].shape} vs {w.shape}")
+    basis = V[: j + 1]
+    tmp = np.empty_like(w)
     for _pass in range(2):
-        for i in range(j + 1):
-            vi = V[i]
-            hij = float(np.dot(vi, w))
-            H[i, j] += hij
-            w += (-hij) * vi
-        record("dot", times=j + 1)
-        record("lincomb", k=2, times=j + 1)
+        hs = []
+        for vi in basis:
+            h = w.dot(vi)
+            hs.append(h)
+            np.multiply(-h, vi, out=tmp)
+            w += tmp
+        H[: j + 1, j] += hs
+    record("dot", times=2 * (j + 1))
+    record("lincomb", k=2, times=2 * (j + 1))
     hnext = norm2(w)
     H[j + 1, j] = hnext
     if hnext <= _BREAKDOWN_FACTOR * beta:
@@ -124,13 +131,35 @@ def arnoldi_extend(applyA, V, H, j: int, beta: float) -> bool:
 def hessenberg_phi_e1(Hm, q: int) -> np.ndarray:
     """Columns exp(Hm) e_1, phi_1(Hm) e_1, ..., phi_q(Hm) e_1 (q >= 1) from one
     expm of [[Hm, e_1, 0], [0, 0, I_{q-1}], [0, 0, 0]] (Saad 1992; Sidje 1998):
-    column 0 of its top block is exp(Hm) e_1, column m+k-1 is phi_k(Hm) e_1."""
+    column 0 of its top block is exp(Hm) e_1, column m+k-1 is phi_k(Hm) e_1.
+
+    The entry e_1 lies above the diagonal, so when Hm has a nonzero
+    subdiagonal, as the Hessenberg matrix of every Arnoldi step short of
+    breakdown has, the augmented matrix is neither diagonal nor triangular:
+    the generic case of ``scipy.linalg.expm``.  Such a matrix goes straight
+    to the kernels expm runs for that case (Pade order and scaling after
+    Al-Mohy & Higham 2009, the Pade evaluation, then the squarings), which
+    gives expm's result bit for bit without its per-call checks.  Any other
+    Hm goes to ``scipy.linalg.expm`` itself.
+    """
     m = Hm.shape[0]
-    aug = np.zeros((m + q, m + q))
+    n = m + q
+    work = np.zeros((5, n, n))  # the augmented matrix, then scipy's scratch
+    aug = work[0]
     aug[:m, :m] = Hm
     aug[0, m] = 1.0
-    aug[m : m + q - 1, m + 1 :] = np.eye(q - 1)
-    return scipy.linalg.expm(aug)[:m, [0, *range(m, m + q)]]
+    for k in range(m, n - 1):
+        aug[k, k + 1] = 1.0
+    cols = [0, *range(m, n)]
+    if not Hm.diagonal(-1).any():
+        return scipy.linalg.expm(aug)[:m, cols]
+    order, squarings = pick_pade_structure(work)
+    if order < 0 or pade_UV_calc(work, order) != 0:
+        raise RuntimeError(f"scipy's Pade kernels failed on a {n} x {n} matrix")
+    expA = work[0]
+    for _ in range(squarings):
+        expA = expA @ expA
+    return expA[:m, cols]
 
 
 def _krylov_arnoldi(applyA, x, t, tol_abs, p):
@@ -140,9 +169,10 @@ def _krylov_arnoldi(applyA, x, t, tol_abs, p):
     Returns (y, applies, last_estimate); raises NotConverged at the
     dimension cap DEFAULT_M_MAX.
     """
-    if float(np.linalg.norm(x)) == 0.0:
+    beta = float(np.linalg.norm(x))
+    if beta == 0.0:
         return x.copy(), 0, 0.0
-    beta = norm2(x)
+    record("dot")  # beta is the counted norm2(x)
     V = np.empty((DEFAULT_M_MAX + 1, x.size))
     V[0] = scale(1.0 / beta, x)
     H = np.zeros((DEFAULT_M_MAX + 1, DEFAULT_M_MAX))
@@ -261,6 +291,7 @@ def _leja_newton(applyA, x, t, tol_abs, p):
     r = x  # only ever rebound, never written
     y = scale(dd[0], r)
     guard = _DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(x)))
+    tmp = np.empty_like(y)
     est = math.inf
     prev_small = False
     for j in range(1, len(xi)):
@@ -274,12 +305,15 @@ def _leja_newton(applyA, x, t, tol_abs, p):
         record("lincomb", k=2, times=2)
         # lincomb([1/gamma, -shift/gamma], [Ar, r]) and lincomb([1, dd_j], [y, r])
         # in lincomb's float order; y is this function's own array
+        d = dd[j]
         r_next = (1.0 / gamma) * Ar
-        r_next += (-shift / gamma) * r
+        np.multiply(-shift / gamma, r, out=tmp)
+        r_next += tmp
         r = r_next
-        y += dd[j] * r
+        np.multiply(d, r, out=tmp)
+        y += tmp
         rnorm = norm2(r)
-        est = abs(dd[j]) * rnorm
+        est = abs(d) * rnorm
         if not math.isfinite(est) or rnorm > guard:
             raise NotConverged(j)
         small = est <= tol_abs

@@ -82,17 +82,26 @@ def blas_thread_counts():
 
 
 def hessenberg_phi_counts(monkeypatch):
-    """The counts inside scipy's expm, called from the Krylov dense kernel."""
+    """The counts inside the Krylov dense kernel's two paths: scipy's expm,
+    which a matrix with a zero subdiagonal (the identity) goes to, and the
+    Pade kernel that a Hessenberg matrix goes to."""
     seen = []
-    expm = scipy.linalg.expm
+    expm, pade_UV_calc = scipy.linalg.expm, matfunc.pade_UV_calc
 
-    def spy(M):
-        seen.append(blas_thread_counts())
+    def spy_expm(M):
+        seen.append(("expm", blas_thread_counts()))
         return expm(M)
 
-    monkeypatch.setattr(scipy.linalg, "expm", spy)
+    def spy_pade(work, order):
+        seen.append(("pade", blas_thread_counts()))
+        return pade_UV_calc(work, order)
+
+    monkeypatch.setattr(scipy.linalg, "expm", spy_expm)
+    monkeypatch.setattr(matfunc, "pade_UV_calc", spy_pade)
     matfunc.hessenberg_phi_e1(np.eye(8), 1)
-    return seen
+    matfunc.hessenberg_phi_e1(np.triu(np.ones((8, 8)), -1), 1)
+    assert [path for path, _counts in seen] == ["expm", "pade"]
+    return [counts for _path, counts in seen]
 
 
 def integrate_counts(monkeypatch):

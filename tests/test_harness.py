@@ -549,7 +549,7 @@ class TestCsv:
     def test_inf_sentinel_serialized(self, tmp_path):
         rec = WorkPrecisionRecord(
             method="rk2", tau=0.25, tol=1e-4, zeta=1.0, error=math.inf,
-            total_cost=10.0, steps=2, counts={}, converged=False,
+            total_cost=10.0, steps=2, counts=dict.fromkeys(CSV_PRIMITIVES, 0), converged=False,
         )
         path = tmp_path / "inf.csv"
         write_csv([rec], path)
@@ -557,6 +557,17 @@ class TestCsv:
         assert ",inf," in text
         assert text.endswith("false")
         assert math.isinf(read_csv(path)[0].error)
+
+    def test_record_missing_a_count_is_refused(self, tmp_path):
+        # a missing count is not written as a counted 0
+        counts = dict.fromkeys(CSV_PRIMITIVES, 0)
+        del counts["lincomb"]
+        rec = WorkPrecisionRecord(
+            method="rk2", tau=0.25, tol=1e-4, zeta=1.0, error=0.5,
+            total_cost=10.0, steps=2, counts=counts, converged=True,
+        )
+        with pytest.raises(KeyError):
+            write_csv([rec], tmp_path / "missing.csv")
 
     def test_determinism(self, tmp_path):
         spec = small_spec(taus=(0.25,))

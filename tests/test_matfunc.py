@@ -4,10 +4,12 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expbench import matfunc
+from expbench.counting import OpCounter
 from expbench.harness import CSV_PRIMITIVES, ExperimentSpec, run_experiment
 from expbench.integrators import METHODS, MethodConfig, PhiConvergenceError, integrate
 from expbench.linalg import Linearization, SpectralBounds, lincomb, norm2, scale
@@ -267,6 +269,53 @@ def reference_augmented_apply(applyA, dim, terms, x):
     return np.concatenate([top, bot])
 
 
+class LincombsByLength(OpCounter):
+    """An advection-diffusion counter that also tallies its lincomb events by
+    the number of vectors combined."""
+
+    def __init__(self, n):
+        super().__init__(n, {"matvec": 2})
+        self.lincombs = {}
+
+    def record(self, primitive, k=None, times=1):
+        super().record(primitive, k, times)
+        if primitive == "lincomb" and times:
+            self.lincombs[k] = self.lincombs.get(k, 0) + times
+
+
+class TestClosedFormCounts:
+    """The events of one evaluation in closed form, as README states them."""
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    @pytest.mark.parametrize("tau, tol", [(0.05, 1e-4), (0.25, 1e-10)])
+    def test_krylov_evaluation_of_dimension_m(self, p, tau, tol):
+        J = advdiff(60).linearize()
+        x = np.random.default_rng(1).standard_normal(60)
+        counter = LincombsByLength(60)
+        with use_counter(counter):
+            _y, m, est = matfunc._krylov_arnoldi(J, x, tau, tol, p)
+        assert 2 < m < 60 and est > 0.0  # stopped on the estimate, not at breakdown
+        assert counter.events == {
+            "dot": m * (m + 1) + (m + 1),
+            "scale": m + 1,
+            "matvec": m,
+            "lincomb": m * (m + 1) + 1,
+        }
+        assert counter.lincombs == {2: m * (m + 1), m: 1}
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    @pytest.mark.parametrize("tau, tol", [(0.05, 1e-4), (0.02, 1e-10)])
+    def test_leja_evaluation_of_j_terms(self, p, tau, tol):
+        J = advdiff(60).linearize()
+        x = np.random.default_rng(1).standard_normal(60)
+        counter = LincombsByLength(60)
+        with use_counter(counter):
+            _y, j, _est = matfunc._leja_newton(J, x, tau, tol, p)
+        assert j > 1
+        assert counter.events == {"scale": 1, "matvec": j, "lincomb": 2 * j, "dot": j}
+        assert counter.lincombs == {2: 2 * j}
+
+
 class TestAugmentedOperatorMatchesLincomb:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -492,7 +541,51 @@ def hessenberg_matrices(draw):
     return G * (norm / np.linalg.norm(G, 1))
 
 
+def expm_of_augmented(H, q):
+    """The columns hessenberg_phi_e1 returns, read off scipy.linalg.expm of
+    the augmented matrix it documents."""
+    m = H.shape[0]
+    aug = np.zeros((m + q, m + q))
+    aug[:m, :m] = H
+    aug[0, m] = 1.0
+    for k in range(m, m + q - 1):
+        aug[k, k + 1] = 1.0
+    return scipy.linalg.expm(aug)[:m, [0, *range(m, m + q)]]
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Matrices of every shape the Krylov kernel sees or guards: Hessenberg,
+    Hessenberg with one zero on the subdiagonal (an invariant block), and
+    the triangular ones that expm treats apart: upper triangular (a zero
+    subdiagonal), diagonal, and 1 x 1.  The scale spans no squarings to
+    many."""
+    m = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["hessenberg", "split", "upper", "diagonal"]))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((m, m))
+    H = np.diag(np.diag(G)) if kind == "diagonal" else np.triu(G, 0 if kind == "upper" else -1)
+    if kind == "split" and m > 1:
+        k = int(rng.integers(m - 1))
+        H[k + 1, k] = 0.0
+    return scale * H
+
+
 class TestHessenbergPhi:
+    @settings(max_examples=300, deadline=None)
+    @given(H=kernel_matrices(), q=st.integers(1, 3))
+    @example(H=np.array([[-2.5]]), q=1)
+    @example(H=np.diag([1e3, -1e3, 0.5]), q=3)
+    @example(H=np.triu(np.ones((5, 5))), q=2)
+    def test_bit_identical_to_expm_of_augmented_matrix(self, H, q):
+        # the kernel replays expm's own computation, so a scipy whose expm
+        # computes differently fails here rather than moving results unseen;
+        # at the largest scales both overflow alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast, ref = hessenberg_phi_e1(H, q), expm_of_augmented(H, q)
+        assert np.array_equal(fast, ref, equal_nan=True)
+
     @settings(max_examples=60, deadline=None)
     @given(H=hessenberg_matrices(), q=st.integers(1, 3))
     def test_columns_match_dense_phi(self, H, q):
