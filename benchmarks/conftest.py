@@ -8,7 +8,8 @@ from expbench.matfunc import arnoldi_extend
 from expbench.problems import AdvDiffProblem, NavierStokesProblem
 
 N_ADVDIFF = 159
-N_GRID = 40  # Navier-Stokes grid points per axis
+# Navier-Stokes grid points per axis: the desk shear flow's and the --full one's
+NS_GRIDS = (40, 160)
 NU = 1e-4
 
 
@@ -34,15 +35,15 @@ def advdiff():
     return AdvDiffProblem(N_ADVDIFF, ("const", 1.0 / 80.0))
 
 
-@pytest.fixture(scope="session")
-def ns():
-    """The Navier-Stokes problem of the NS benchmarks: n = 40, nu = 1e-4."""
-    return NavierStokesProblem(N_GRID, NU)
+@pytest.fixture(scope="session", params=NS_GRIDS, ids=lambda n: f"n{n}")
+def ns(request):
+    """The Navier-Stokes problem of the NS benchmarks: n = 40 or 160, nu = 1e-4."""
+    return NavierStokesProblem(request.param, NU)
 
 
 @pytest.fixture(scope="session")
 def ns_state(ns):
-    """The Navier-Stokes state of the NS benchmarks: the n = 40 shear flow
-    plus a 1e-3 normal perturbation drawn from seed 0."""
+    """The Navier-Stokes state of the NS benchmarks: the shear flow plus a
+    1e-3 normal perturbation drawn from seed 0."""
     rng = np.random.default_rng(0)
-    return ns.initial_state() + 1e-3 * rng.standard_normal(3 * N_GRID**2)
+    return ns.initial_state() + 1e-3 * rng.standard_normal(ns.dimension)

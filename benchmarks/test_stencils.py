@@ -1,4 +1,6 @@
-"""Microbenchmarks of the Navier-Stokes stencil kernels at n = 40.
+"""Microbenchmarks of the Navier-Stokes stencil kernels at n = 40, the
+desk shear flow's grid, and at n = 160, the ``--full`` one's, where one
+field (200 KiB) is above glibc's default mmap threshold of 128 KiB.
 
 Run from the root of a checkout with
 
@@ -13,11 +15,9 @@ import numpy as np
 
 from expbench.problems import ns_rhs
 
-from conftest import N_GRID, NU
 
-
-def test_ns_rhs(benchmark, ns_state):
-    benchmark(ns_rhs, ns_state, N_GRID, NU)
+def test_ns_rhs(benchmark, ns, ns_state):
+    benchmark(ns_rhs, ns_state, ns.n, ns.nu)
 
 
 def test_frozen_jacobian_apply(benchmark, ns, ns_state):

@@ -6,7 +6,10 @@
   right-hand side and matrix-free Jacobian action written in terms of
   per-axis central stencils and component-wise products.  The stencils
   take the periodic neighbours from slices of the field, not from shifted
-  copies, in the floating-point order of the shifted-copy formulas.
+  copies, in the floating-point order of the shifted-copy formulas.  They
+  act on stacks of fields: a state vector is viewed, without a copy, as
+  the stack (rho, u, v) of shape (3, n, n), and one set of ufunc calls per
+  axis serves every field of a stack.
 
 Each problem is one class, ``AdvDiffProblem`` and ``NavierStokesProblem``,
 exposing the interface the integrators expect: ``rhs``, ``linearize``,
@@ -19,11 +22,19 @@ the Jacobian frozen at ``u`` (one counted Jacobian event per call, its
 state-dependent terms computed once), and its ``bounds`` are the
 Gershgorin box of that Jacobian, computed on first access and never
 counted.
+
+``ns_rhs`` and the applies of a frozen Navier-Stokes Jacobian write their
+intermediate stacks into scratch arrays that each thread keeps per grid
+size and reuses across calls, so threads never share them; a
+linearization owns only its frozen state terms.  Every array the kernels
+return is freshly allocated, never a view of scratch, so a caller may
+keep it across later calls.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -105,93 +116,122 @@ class AdvDiffProblem:
 #
 # Fields are n x n arrays in row-major order, index [iy, ix]; the flattened
 # vector index is iy * n + ix.  With this convention (I (x) B_h) applies the
-# 1D stencil along x (the fast axis) and (B_h (x) I) along y.
+# 1D stencil along x (the fast axis) and (B_h (x) I) along y.  A state is
+# the stack (rho, u, v) of shape (3, n, n), a view of the state vector.
+# Each helper takes a stack of fields of shape (..., n, n), so one set of
+# ufunc calls serves all of them, and writes into ``out``, an array of that
+# shape; the x stencil writes through a flat view, so its ``out`` must be
+# C-contiguous.
 
 
-def _pair_x(op, f):
-    """op(f[:, j+1], f[:, j-1]) at every j, periodic along x (axis 1).
+def _pair_x(op, f, out):
+    """op(f[..., j+1], f[..., j-1]) at every j, periodic along x (last axis).
 
-    The interior comes from the flattened field; its entries at j = 0 and
-    j = n-1 pair values of neighbouring rows and are overwritten by the
-    wrapped columns.
+    The interior comes from the flattened stack; its entries at j = 0 and
+    j = n-1 pair values of neighbouring rows (or fields) and are
+    overwritten by the wrapped columns.
     """
-    out = np.empty(f.shape)
-    flat, out_flat = f.reshape(-1), out.reshape(-1)
+    flat, out_flat = f.reshape(-1), out.reshape(-1, copy=False)
     op(flat[2:], flat[:-2], out=out_flat[1:-1])
-    op(f[:, 1], f[:, -1], out=out[:, 0])
-    op(f[:, 0], f[:, -2], out=out[:, -1])
+    op(f[..., 1], f[..., -1], out=out[..., 0])
+    op(f[..., 0], f[..., -2], out=out[..., -1])
     return out
 
 
-def _pair_y(op, f):
-    """op(f[i+1], f[i-1]) at every i, periodic along y (axis 0)."""
-    out = np.empty(f.shape)
-    op(f[2:], f[:-2], out=out[1:-1])
-    op(f[1], f[-1], out=out[0])
-    op(f[0], f[-2], out=out[-1])
+def _pair_y(op, f, out):
+    """op(f[..., i+1, :], f[..., i-1, :]) at every i, periodic along y.
+
+    One call takes both wrapped rows: rows (0, n-1) pair rows (1, 0) with
+    rows (n-1, n-2).
+    """
+    n = f.shape[-2]
+    op(f[..., 2:, :], f[..., :-2, :], out=out[..., 1:-1, :])
+    op(f[..., 1::-1, :], f[..., :-3:-1, :], out=out[..., :: n - 1, :])
     return out
 
 
-def _dx(f, h):
-    out = _pair_x(np.subtract, f)
+def _dxdy(fx, fy, h, out):
+    """Central differences: d/dx of ``fx`` into out[0] and d/dy of ``fy``
+    into out[1], with one division for both.  Passing -h gives the
+    negated derivatives, exactly."""
+    _pair_x(np.subtract, fx, out[0])
+    _pair_y(np.subtract, fy, out[1])
     out /= 2.0 * h
     return out
 
 
-def _dy(f, h):
-    out = _pair_y(np.subtract, f)
-    out /= 2.0 * h
-    return out
+def _lap(f, h, out, tmp):
+    """(f[j+1] + f[j-1] + f[i+1] + f[i-1] - 4 f) / h^2, summed left to right;
+    ``tmp`` is scratch of f's shape.
 
-
-def _lap(f, h):
-    """(f[:, j+1] + f[:, j-1] + f[i+1] + f[i-1] - 4 f) / h^2, summed left to right."""
-    out = _pair_x(np.add, f)
-    out[:-1] += f[1:]
-    out[-1] += f[0]
-    out[1:] += f[:-1]
-    out[0] += f[-1]
-    out -= 4.0 * f
+    Rows 0 and n-1 take their wrapped neighbour in one call, f[n-1] as the
+    fourth term of row 0 and f[0] as the third of row n-1, between the
+    interior third and fourth terms.
+    """
+    n = f.shape[-2]
+    _pair_x(np.add, f, out)
+    out[..., :-1, :] += f[..., 1:, :]
+    out[..., :: n - 1, :] += f[..., :: -(n - 1), :]
+    out[..., 1:, :] += f[..., :-1, :]
+    out -= np.multiply(4.0, f, out=tmp)
     out /= h**2
     return out
 
 
-def _split(state, n):
+def _stack(state, n):
+    """``state`` as the stack (rho, u, v) of shape (3, n, n)."""
     state = np.asarray(state, dtype=float)
-    N = n * n
-    if state.shape != (3 * N,):
-        raise ValueError(f"expected state of length {3 * N}, got {state.shape}")
-    rho = state[:N].reshape(n, n)
-    u = state[N : 2 * N].reshape(n, n)
-    v = state[2 * N :].reshape(n, n)
-    return rho, u, v
+    if state.shape != (3 * n * n,):
+        raise ValueError(f"expected state of length {3 * n * n}, got {state.shape}")
+    return state.reshape(3, n, n)
 
 
-def _join(f1, f2, f3):
-    return np.concatenate([f1.ravel(), f2.ravel(), f3.ravel()])
+class _Scratch(threading.local):
+    """Each thread's scratch arrays of the Navier-Stokes kernels, by grid
+    size: a (6, n, n) stack, room for a gradient of three fields, and a
+    (2, n, n) stack.
+
+    ``ns_rhs`` and every frozen-Jacobian apply on a thread share them;
+    neither kernel calls the other, so no call finds them in use.
+    """
+
+    def __init__(self):
+        self.by_n = {}
+
+    def get(self, n):
+        s = self.by_n.get(n)
+        if s is None:
+            s = self.by_n[n] = (np.empty((6, n, n)), np.empty((2, n, n)))
+        return s
+
+
+_scratch = _Scratch()
 
 
 def ns_rhs(state, n: int, nu: float) -> np.ndarray:
     """F(U) for the isothermal Navier-Stokes system; one counted rhs event."""
-    rho, u, v = _split(state, n)
-    if np.min(rho) <= 0.0:
+    s = _stack(state, n)
+    rho, u, v = s
+    if rho.min() <= 0.0:
         raise NonPositiveDensityError("density is not positive")
     record("rhs")
     h = 1.0 / n
-    f1 = -_dx(rho * u, h) - _dy(rho * v, h)
-    f2 = (
-        -u * _dx(u, h)
-        - v * _dy(u, h)
-        - _dx(rho, h) / rho
-        + nu * _lap(u, h)
-    )
-    f3 = (
-        -u * _dx(v, h)
-        - v * _dy(v, h)
-        - _dy(rho, h) / rho
-        + nu * _lap(v, h)
-    )
-    return _join(f1, f2, f3)
+    g, t = _scratch.get(n)
+    out = np.empty(3 * n * n)
+    f = out.reshape(3, n, n)
+    # f1 = -dx(rho u) - dy(rho v), as the sum of the negated derivatives
+    flux = np.multiply(rho, s[1:], out=t)  # rho [u, v]
+    neg = _dxdy(flux[0], flux[1], -h, g[:2])
+    np.add(neg[0], neg[1], out=f[0])
+    # [f2, f3] = -u [dx u, dx v] - v [dy u, dy v] - [dx rho, dy rho] / rho + nu lap [u, v]
+    grad = _dxdy(s, s, h, g.reshape(2, 3, n, n))  # [dx, dy] of (rho, u, v)
+    np.multiply(np.negative(u, out=t[0]), grad[0, 1:], out=f[1:])
+    f[1:] -= np.multiply(v, grad[1, 1:], out=t)
+    f[1:] -= np.divide(grad[:, 0], rho, out=t)
+    lap = _lap(s[1:], h, g[:2], t)
+    lap *= nu
+    f[1:] += lap
+    return out
 
 
 class NavierStokesProblem:
@@ -221,14 +261,15 @@ class NavierStokesProblem:
         x = np.arange(n) * h
         y = np.arange(n) * h
         X, Y = np.meshgrid(x, y)  # X varies along axis 1, Y along axis 0
-        rho = np.ones((n, n))
-        u = np.where(
+        s = np.empty((3, n, n))
+        s[0] = 1.0
+        s[1] = np.where(
             Y <= 0.5,
             v0 * np.tanh((Y - 0.25) / d),
             v0 * np.tanh((0.75 - Y) / d),
         )
-        v = delta * np.sin(2.0 * np.pi * X)
-        return _join(rho, u, v)
+        s[2] = delta * np.sin(2.0 * np.pi * X)
+        return s.reshape(-1)
 
     def rhs(self, state) -> np.ndarray:
         return ns_rhs(state, self.n, self.nu)
@@ -238,70 +279,98 @@ class NavierStokesProblem:
 
         The state-dependent terms (the gradients of rho, u and v, and rho^2)
         are computed once here; each apply records one counted jacvec event
-        (21N), linearizing records none.  The Gershgorin bounds reuse the
-        same terms, assembled per grid point from the block-row stencil
-        coefficients as absolute row sums across all three blocks.
+        (21N), linearizing records none.  Each apply works in its thread's
+        scratch arrays and returns a fresh array.  The Gershgorin bounds
+        reuse the same terms, assembled per grid point from the block-row
+        stencil coefficients as absolute row sums across all three blocks.
         """
         n, nu = self.n, self.nu
         # a copy, so the action stays frozen if the caller reuses its array
-        rho, u, v = _split(np.array(state, dtype=float), n)
-        if np.min(rho) <= 0.0:
+        s = _stack(np.array(state, dtype=float), n)
+        rho, u, v = s
+        if rho.min() <= 0.0:
             raise NonPositiveDensityError("density is not positive")
         h = 1.0 / n
-        dxr, dyr = _dx(rho, h), _dy(rho, h)
-        dxu, dyu = _dx(u, h), _dy(u, h)
-        dxv, dyv = _dx(v, h), _dy(v, h)
+        grad = _dxdy(s, s, h, np.empty((2, 3, n, n)))  # [dx, dy] of (rho, u, v)
         rho2 = rho**2
+        u_rho, v_rho = s[1::-1], s[::-2]  # [u, rho], [v, rho]
+        drho, dx_uv, dy_uv = grad[:, 0], grad[0, 1:], grad[1, 1:]
 
         def apply(w):
-            w1, w2, w3 = _split(w, n)
+            ws = _stack(w, n)
+            w1, w2, w3 = ws
             record("jacvec")
-            r1 = (
-                -_dx(u * w1, h)
-                - _dy(v * w1, h)
-                - _dx(rho * w2, h)
-                - _dy(rho * w3, h)
-            )
-            r2 = (
-                w1 * dxr / rho2
-                - _dx(w1, h) / rho
-                - w2 * dxu
-                - u * _dx(w2, h)
-                - v * _dy(w2, h)
-                + nu * _lap(w2, h)
-                - w3 * dyu
-            )
-            r3 = (
-                w1 * dyr / rho2
-                - _dy(w1, h) / rho
-                - w2 * dxv
-                - u * _dx(w3, h)
-                - w3 * dyv
-                - v * _dy(w3, h)
-                + nu * _lap(w3, h)
-            )
-            return _join(r1, r2, r3)
+            g, t = _scratch.get(n)
+            out = np.empty(3 * n * n)
+            r = out.reshape(3, n, n)
+            # r1 = -dx(u w1) - dy(v w1) - dx(rho w2) - dy(rho w3), as the sum
+            # of the negated derivatives, with g as scratch
+            fx = np.multiply(u_rho, ws[:2], out=t)  # [u w1, rho w2]
+            fy = np.multiply(v_rho, ws[::2], out=g[4:])  # [v w1, rho w3]
+            neg = _dxdy(fx, fy, -h, g[:4].reshape(2, 2, n, n))
+            np.add(neg[0, 0], neg[1, 0], out=r[0])
+            r[0] += neg[0, 1]
+            r[0] += neg[1, 1]
+            # [r2, r3] begin w1 [dx rho, dy rho] / rho2 - [dx w1, dy w1] / rho
+            #   - w2 [dx u, dx v] - u [dx w2, dx w3]
+            dw = _dxdy(ws, ws, h, g.reshape(2, 3, n, n))  # [dx, dy] of (w1, w2, w3)
+            np.multiply(w1, drho, out=r[1:])
+            r[1:] /= rho2
+            r[1:] -= np.divide(dw[:, 0], rho, out=t)
+            r[1:] -= np.multiply(w2, dx_uv, out=t)
+            r[1:] -= np.multiply(u, dw[0, 1:], out=t)
+            # and end in the order of each row
+            v_dyw = np.multiply(v, dw[1, 1:], out=t)  # v [dy w2, dy w3]
+            lap = _lap(ws[1:], h, g[:2], g[2:4])  # dw is used up
+            lap *= nu
+            w3_dy = np.multiply(w3, dy_uv, out=g[4:])  # w3 [dy u, dy v]
+            r2, r3 = r[1], r[2]
+            r2 -= v_dyw[0]
+            r2 += lap[0]
+            r2 -= w3_dy[0]
+            r3 -= w3_dy[1]
+            r3 -= v_dyw[1]
+            r3 += lap[1]
+            return out
 
         def bounds():
             inv2h = 1.0 / (2.0 * h)
             nu4h2 = 4.0 * nu / h**2
-            au, av, arho = np.abs(u), np.abs(v), np.abs(rho)
-            d1 = np.zeros_like(rho)
-            r1 = (
-                _pair_x(np.add, au) + _pair_y(np.add, av) + _pair_x(np.add, arho) + _pair_y(np.add, arho)
-            ) * inv2h
-            irh, auh, avh = 1.0 / (rho * h), au / h, av / h
-            d2 = -dxu - nu4h2
-            r2 = np.abs(dxr) / rho2 + irh + auh + avh + np.abs(dyu) + nu4h2
-            d3 = -dyv - nu4h2
-            r3 = np.abs(dyr) / rho2 + irh + avh + auh + np.abs(dxv) + nu4h2
-            return gershgorin_bounds(_join(d1, d2, d3), _join(r1, r2, r3))
+            a = np.abs(s)  # [|rho|, |u|, |v|]
+            sx = _pair_x(np.add, a[:2], np.empty((2, n, n)))  # of |rho|, |u|
+            sy = _pair_y(np.add, a[::2], np.empty((2, n, n)))  # of |rho|, |v|
+            d, r = np.zeros(3 * n * n), np.empty(3 * n * n)
+            ds, rs = d.reshape(3, n, n), r.reshape(3, n, n)
+            # r1 = (sx|u| + sy|v| + sx|rho| + sy|rho|) / 2h
+            np.add(sx[1], sy[1], out=rs[0])
+            rs[0] += sx[0]
+            rs[0] += sy[0]
+            rs[0] *= inv2h
+            # d2 = -dx u - 4 nu / h^2, d3 = -dy v - 4 nu / h^2
+            np.negative(grad[0, 1], out=ds[1])
+            np.negative(grad[1, 2], out=ds[2])
+            ds[1:] -= nu4h2
+            # r2 = |dx rho| / rho2 + 1/(rho h) + |u|/h + |v|/h + |dy u| + 4 nu / h^2,
+            # r3 = |dy rho| / rho2 + 1/(rho h) + |v|/h + |u|/h + |dx v| + 4 nu / h^2
+            np.abs(drho, out=rs[1:])
+            rs[1:] /= rho2
+            rs[1:] += 1.0 / (rho * h)
+            ah = a[1:] / h  # [|u|/h, |v|/h]
+            rs[1:] += ah
+            rs[1:] += ah[::-1]
+            np.abs(grad[1, 1], out=ah[0])
+            np.abs(grad[0, 2], out=ah[1])
+            rs[1:] += ah
+            rs[1:] += nu4h2
+            return gershgorin_bounds(d, r)
 
         return Linearization(apply, bounds)
 
     def fields(self, state):
         """(rho, u, v, omega) as n x n grids, omega = dv/dx - du/dy with the
         same central stencils."""
-        rho, u, v = _split(state, self.n)
-        h = 1.0 / self.n
-        return rho, u, v, _dx(v, h) - _dy(u, h)
+        n = self.n
+        rho, u, v = _stack(state, n)
+        h = 1.0 / n
+        dv_dx, du_dy = _dxdy(v, u, h, np.empty((2, n, n)))
+        return rho, u, v, dv_dx - du_dy

@@ -14,7 +14,7 @@ import scipy.linalg
 
 from expbench import harness, linalg, matfunc
 from expbench.integrators import MethodConfig, integrate
-from expbench.problems import AdvDiffProblem
+from expbench.problems import AdvDiffProblem, NavierStokesProblem
 
 from conftest import use_cpus
 
@@ -149,36 +149,36 @@ def test_forked_sweep_worker_runs_on_a_single_blas_thread(monkeypatch, tmp_path)
     assert counts == ("[1, 1]", "[1, 1]")
 
 
-class MeetInRhs(AdvDiffProblem):
-    """AdvDiffProblem whose first rhs call in each of two threads waits for
-    the other thread's, so two runs on it are in progress at once."""
+class MeetInRhs:
+    """A problem whose first rhs call in each of ``parties`` threads waits
+    for the others' first, so the runs on it are in progress at once."""
 
-    def __init__(self, n, kappa):
-        super().__init__(n, kappa)
+    def __init__(self, problem, parties):
+        self.problem = problem
         self.met = threading.local()
-        self.barrier = threading.Barrier(2, timeout=10)
+        self.barrier = threading.Barrier(parties, timeout=10)
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
 
     def rhs(self, u):
         if not getattr(self.met, "done", False):
             self.met.done = True
             self.barrier.wait()
-        return super().rhs(u)
+        return self.problem.rhs(u)
 
 
-def test_concurrent_runs_match_serial_runs():
-    """Two integrate calls in two threads overlap; each run counts on its
-    own context-variable counter, so each gives a serial run's state and
-    counted events."""
-    configs = [MethodConfig("exprb42-krylov", tau=1 / 32, tol=1e-7),
-               MethodConfig("exprb-euler-leja", tau=1 / 32, tol=1e-7)]
+def assert_concurrent_runs_match_serial_runs(make_problem, configs, t_end):
+    """Each config integrated in its own thread, all on one shared problem,
+    gives the state and counted events of a serial run on a fresh one."""
 
     def run(problem, config):
-        result = integrate(problem, config, problem.initial_state(), 1.0)
+        result = integrate(problem, config, problem.initial_state(), t_end)
         return result.final_state.tobytes(), result.counter.events
 
-    serial = [run(AdvDiffProblem(31, "mixed"), config) for config in configs]
-    problem = MeetInRhs(31, "mixed")
-    concurrent = [None, None]
+    serial = [run(make_problem(), config) for config in configs]
+    problem = MeetInRhs(make_problem(), len(configs))
+    concurrent = [None] * len(configs)
     errors = []
 
     def work(i):
@@ -190,7 +190,7 @@ def test_concurrent_runs_match_serial_runs():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(configs))]
         for t in threads:
             t.start()
         for t in threads:
@@ -200,3 +200,21 @@ def test_concurrent_runs_match_serial_runs():
         sys.setswitchinterval(interval)
     assert errors == []
     assert concurrent == serial
+
+
+def test_concurrent_runs_match_serial_runs():
+    """Two integrate calls in two threads overlap; each run counts on its
+    own context-variable counter, so each gives a serial run's state and
+    counted events."""
+    configs = [MethodConfig("exprb42-krylov", tau=1 / 32, tol=1e-7),
+               MethodConfig("exprb-euler-leja", tau=1 / 32, tol=1e-7)]
+    assert_concurrent_runs_match_serial_runs(lambda: AdvDiffProblem(31, "mixed"), configs, 1.0)
+
+
+def test_concurrent_navier_stokes_runs_match_serial_runs():
+    """Four runs at once on one Navier-Stokes problem, two of each method:
+    ``ns_rhs`` and the Jacobian applies keep their scratch per thread, so
+    no run sees another's intermediate stacks."""
+    configs = [MethodConfig("exprb-euler-leja", tau=1 / 16, tol=1e-7),
+               MethodConfig("exprb42-krylov", tau=1 / 16, tol=1e-7)] * 2
+    assert_concurrent_runs_match_serial_runs(lambda: NavierStokesProblem(8, 1e-4), configs, 0.5)

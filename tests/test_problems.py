@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expbench.counting import OpCounter
 from expbench.integrators import MethodConfig, integrate
@@ -9,8 +11,7 @@ from expbench.problems import (
     AdvDiffProblem,
     NavierStokesProblem,
     NonPositiveDensityError,
-    _dx,
-    _dy,
+    _dxdy,
     _lap,
     ns_rhs,
 )
@@ -194,17 +195,29 @@ class TestNavierStokesProblem:
 
 
 class TestPeriodicStencils:
-    @pytest.mark.parametrize("n", [4, 5, 40])
-    def test_stencils_match_roll_formulas_bitwise(self, n):
+    @pytest.mark.parametrize("n", [4, 5, 40, 160])
+    @pytest.mark.parametrize("stack", [(), (1,), (2,), (3,)], ids=["field", "k1", "k2", "k3"])
+    def test_stencils_match_roll_formulas_bitwise(self, n, stack):
+        # a single n x n field, or a stack of k of them, each to match alone
         rng = np.random.default_rng(n)
         h = 1.0 / n
+        shape = stack + (n, n)
         for _ in range(3):
-            f = rng.standard_normal((n, n))
-            assert np.array_equal(_dx(f, h), roll_dx(f, h))
-            assert np.array_equal(_dy(f, h), roll_dy(f, h))
-            assert np.array_equal(_lap(f, h), roll_lap(f, h))
+            f, g = rng.standard_normal(shape), rng.standard_normal(shape)
+            dx, dy = _dxdy(f, g, h, np.empty((2,) + shape))
+            lap = _lap(f, h, np.empty(shape), np.empty(shape))
+            for i in np.ndindex(stack):
+                assert np.array_equal(dx[i], roll_dx(f[i], h))
+                assert np.array_equal(dy[i], roll_dy(g[i], h))
+                assert np.array_equal(lap[i], roll_lap(f[i], h))
 
-    @pytest.mark.parametrize("n", [4, 5, 40])
+    def test_output_must_be_contiguous(self):
+        # the x stencil writes its interior through a flat view of ``out``
+        f = np.ones((2, 8, 8))
+        with pytest.raises(ValueError):
+            _dxdy(f, f, 1.0 / 8, np.empty((2, 3, 8, 8))[:, ::2])
+
+    @pytest.mark.parametrize("n", [4, 5, 40, 160])
     def test_spectral_bounds_match_roll_formulas_bitwise(self, n):
         nu = 1e-3
         states = (perturbed_shear_flow(n, 0), perturbed_shear_flow(n, 1), lopsided_velocity_state(n))
@@ -215,7 +228,7 @@ class TestPeriodicStencils:
 
 
 class TestFrozenLinearization:
-    @pytest.mark.parametrize("n", [8, 40])
+    @pytest.mark.parametrize("n", [8, 40, 160])
     def test_apply_matches_roll_jacobian_bitwise(self, n):
         nu = 1e-4
         pb = NavierStokesProblem(n, nu)
@@ -252,6 +265,26 @@ class TestFrozenLinearization:
         state[:] = shear_flow(n)
         assert np.array_equal(applyJ(w), expected)
 
+    def test_applies_and_rhs_return_fresh_arrays(self):
+        # the kernels share scratch arrays between calls, never their results
+        n = 8
+        pb = NavierStokesProblem(n, 1e-4)
+        state = perturbed_shear_flow(n, 60)
+        w1, w2 = np.random.default_rng(61).standard_normal((2, 3 * n * n))
+        applyJ = pb.linearize(state)
+        first = applyJ(w1)
+        kept = first.copy()
+        second = applyJ(w2)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        f = ns_rhs(state, n, pb.nu)
+        f_kept = f.copy()
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(f, ns_rhs(state + 0.01, n, pb.nu))
+        applyJ(w1)
+        assert np.array_equal(f, f_kept)
+        assert np.array_equal(first, kept)
+
     def test_linearize_rejects_nonpositive_density(self):
         n = 8
         state = shear_flow(n)
@@ -267,8 +300,29 @@ class TestFrozenLinearization:
         assert np.array_equal(applyJ(w), pb.rhs(w))
 
 
+class TestKernelsMatchRollFormulas:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 48),
+        seed=st.integers(0, 2**32 - 1),
+        speed=st.sampled_from([1e-4, 0.1, 10.0]),
+        nu=st.sampled_from([0.0, 1e-4, 1e-2]),
+    )
+    def test_rhs_apply_and_bounds_bitwise(self, n, seed, speed, nu):
+        # any positive density, velocities of the given size, any direction w
+        rng = np.random.default_rng(seed)
+        N = n * n
+        state = np.concatenate([rng.uniform(0.05, 2.0, N), speed * rng.standard_normal(2 * N)])
+        w = rng.standard_normal(3 * N)
+        assert np.array_equal(ns_rhs(state, n, nu), roll_rhs(state, n, nu))
+        applyJ = NavierStokesProblem(n, nu).linearize(state)
+        assert np.array_equal(applyJ(w), roll_jacobian_action(state, w, n, nu))
+        b = applyJ.bounds
+        assert (b.real_min, b.real_max, b.imag_halfwidth) == roll_spectral_bounds(state, n, nu)
+
+
 class TestNavierStokesRhs:
-    @pytest.mark.parametrize("n", [4, 5, 8, 40])
+    @pytest.mark.parametrize("n", [4, 5, 8, 40, 160])
     def test_matches_roll_rhs_bitwise(self, n):
         nu = 1e-4
         for state in (perturbed_shear_flow(n, 0), perturbed_shear_flow(n, 1), lopsided_velocity_state(n)):
