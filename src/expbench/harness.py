@@ -13,11 +13,10 @@ The cells of a sweep are independent integrations, and each one's results
 depend on nothing that runs beside it, so ``run_experiment`` runs them on
 forked worker processes, one per available CPU, and assembles the records
 in the parent in grid order: the CSVs are byte-identical to a run of one
-cell after another.  The step-halving passes of the Navier-Stokes
-reference are independent integrations too: ``compute_reference`` runs
-them on the same kind of pool and compares them in the parent in pass
-order, so it returns the pass that one pass after another would return,
-bit for bit.  See ``_fork_pool`` for when work stays in-process.
+cell after another.  See ``_fork_pool`` for when cells stay in-process.
+The reference is one uncounted solve in the calling process: a dense
+exponential for the 1D problem, an adaptive extrapolation solver for
+Navier-Stokes (``compute_reference``).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from .counting import use_counter
-from .integrators import IntegrationError, MethodConfig, METHODS, integrate, rk4_step
+from .integrators import IntegrationError, MethodConfig, METHODS, integrate
 from .problems import AdvDiffProblem, NavierStokesProblem
 
 CSV_PRIMITIVES = ("matvec", "jacvec", "rhs", "dot", "lincomb", "scale", "fetch", "store")
@@ -45,12 +44,13 @@ CSV_HEADER = ",".join(
 )
 
 REFERENCE_DENSE_CAP = 512
-REFERENCE_STEP_CAP = 2**20
-REFERENCE_RTOL = 1e-10
+REFERENCE_STEP_CAP = 2**16  # macro steps of the NS reference, accepted or rejected
+_GBS_STEPS = (2, 4, 6, 8, 10, 12, 14)  # midpoint steps per extrapolation column
+_GBS_RTOL = 1e-14
 
 
 class ReferenceNotConverged(RuntimeError):
-    """The NS reference's halving passes reached REFERENCE_STEP_CAP."""
+    """The NS reference's solve reached REFERENCE_STEP_CAP macro steps."""
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -118,26 +118,20 @@ def error_norm(u, ref) -> float:
 
 
 def compute_reference(problem, t_end: float, tau_hint: float | None = None) -> np.ndarray:
-    """Reference solution at t_end.
+    """Reference solution at t_end, computed uncounted in this process.
 
     Linear 1D problem: exact dense propagator exp(t_end L) u0, for at
     most REFERENCE_DENSE_CAP (512) points; more raise ValueError.
-    Navier-Stokes: uncounted RK4, pass k with steps of (tau_hint / 16) / 2^k
-    (tau_hint defaults to t_end / 64), until two neighbouring passes differ
-    by less than 1e-10 in relative l2; a pass of more than
-    REFERENCE_STEP_CAP steps raises ReferenceNotConverged instead.
+    Navier-Stokes: adaptive extrapolation of the explicit midpoint rule
+    (``_extrapolated_midpoint``) to a relative accuracy of about 1e-14.
+    Its step control measures errors with ``np.linalg.norm``, a BLAS dot,
+    so the reference's last bits depend on the CPU's BLAS kernel, but its
+    accuracy does not.  A solve that reaches REFERENCE_STEP_CAP macro steps
+    raises ReferenceNotConverged; one that loses density raises the rhs's
+    NonPositiveDensityError.
 
-    Each pass integrates from u0 on its own, so the passes run on forked
-    workers (see ``_fork_pool``), and this process compares them strictly
-    in pass order.  It returns the first pass that is within 1e-10 of the
-    one before, and an exception, from a pass or the cap, is raised only
-    at the pass where one pass after another would reach it: the result is
-    that of the serial loop, bit for bit.  The order in which passes are
-    submitted decides only the wall time: passes 0, 1 and 2 first, then
-    the last pass that the difference of passes 0 and 1 predicts, then the
-    passes between.  Passes past a prediction that was too low run one at a
-    time.  On return or raise, passes still queued are cancelled and passes
-    still running stop at their next step.
+    ``tau_hint`` is validated and otherwise unused: neither reference
+    depends on the sweep's step sizes.
     """
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end!r}")
@@ -150,71 +144,52 @@ def compute_reference(problem, t_end: float, tau_hint: float | None = None) -> n
         if problem.n > REFERENCE_DENSE_CAP:
             raise ValueError(f"problem dimension {problem.n} exceeds cap {REFERENCE_DENSE_CAP}")
         return scipy.linalg.expm(t_end * problem.to_dense()) @ u0
-    tau = (tau_hint if tau_hint is not None else t_end / 64.0) / 16.0
-    steps = []  # the step count of each pass; only the last exceeds the cap
-    while not steps or steps[-1] <= REFERENCE_STEP_CAP:
-        steps.append(max(1, math.ceil(t_end / tau)))
-        tau /= 2.0
-    stop = multiprocessing.get_context("fork").Event()
-    run_pass = functools.partial(_reference_pass, problem=problem, u0=u0, t_end=t_end, stop=stop)
-    with _fork_pool(run_pass, len(steps) - 1) as submit:
-        try:
-            return _first_converged_pass(submit, steps)
-        finally:
-            stop.set()  # a pass still running is not needed: end it now
-
-
-def _first_converged_pass(submit, steps):
-    """The first pass that ``submit`` runs within REFERENCE_RTOL of the
-    pass before, compared in pass order (see compute_reference)."""
-    passes = {}
-
-    def start(*ks):
-        for k in ks:
-            if k not in passes:
-                passes[k] = submit(steps[k])
-
-    start(*range(min(3, len(steps) - 1)))
-    prev = None
-    for k, n in enumerate(steps):
-        if n > REFERENCE_STEP_CAP:
-            raise ReferenceNotConverged(
-                f"reference solution did not converge within step cap "
-                f"{REFERENCE_STEP_CAP}: pass {k} needs {n} steps"
-            )
-        start(k)
-        u = passes[k].result()
-        if prev is not None:
-            diff = error_norm(u, prev)
-            if diff < REFERENCE_RTOL:
-                return u
-            if k == 1 and (last := _predict_last_pass(diff, steps)) is not None:
-                start(last, *range(3, last))
-        prev = u
-
-
-def _reference_pass(steps, problem, u0, t_end, stop):
-    """u0 advanced to t_end by ``steps`` uncounted RK4 steps, or None if
-    ``stop`` is set first."""
-    dt = t_end / steps
-    u = u0.copy()
     with use_counter(None):
-        for _k in range(steps):
-            if stop.is_set():
-                return None
-            u = rk4_step(problem, u, dt)
-    return u
+        return _extrapolated_midpoint(problem.rhs, u0, t_end)
 
 
-def _predict_last_pass(diff, steps):
-    """The pass whose difference from the one before should first fall
-    below REFERENCE_RTOL, given ``diff`` between passes 0 and 1: RK4's
-    error falls about 16-fold with each halving.  None when ``diff`` is not
-    finite or that pass would exceed the step cap."""
-    if not math.isfinite(diff):
-        return None
-    last = 2 + math.floor(math.log(diff, 16) - math.log(REFERENCE_RTOL, 16))
-    return last if last < len(steps) - 1 else None
+def _extrapolated_midpoint(f, u, t_end):
+    """u advanced to t_end under u' = f(u) by the Gragg-Bulirsch-Stoer
+    method (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., II.9).
+
+    A macro step H runs the explicit midpoint rule with steps H / n for each
+    n of ``_GBS_STEPS`` and extrapolates the k results to H -> 0 in powers
+    of H^2 (Aitken-Neville, keeping one row of the tableau).  The step's
+    error err is the relative difference of the last row's last two
+    entries over _GBS_RTOL; err <= 1 accepts the last entry, of order 2k.
+    Either way H is scaled by 0.9 err^(-1/(2k-1)), clamped to [0.2, 4].
+    H starts at t_end / 64.  A solve takes about 50 rhs calls per macro
+    step, and no more than REFERENCE_STEP_CAP macro steps.
+    """
+    k = len(_GBS_STEPS)
+    t, H = 0.0, t_end / 64.0
+    for _attempt in range(REFERENCE_STEP_CAP):
+        last = H >= t_end - t
+        if last:
+            H = t_end - t
+        f0 = f(u)
+        row = None
+        for j, n in enumerate(_GBS_STEPS):
+            h = H / n
+            z0, z1 = u, u + h * f0
+            for _i in range(n - 1):
+                z0, z1 = z1, z0 + (2.0 * h) * f(z1)
+            prev, row = row, [z1]
+            for m in range(1, j + 1):
+                ratio = (n / _GBS_STEPS[j - m]) ** 2 - 1.0
+                row.append(row[m - 1] + (row[m - 1] - prev[m - 1]) / ratio)
+        err = error_norm(row[-2], row[-1]) / _GBS_RTOL
+        if err <= 1.0:
+            t, u = t + H, row[-1]
+            if last:
+                return u
+        # err = 0 grows H the most; a nan err (an overflowed stage) shrinks it
+        factor = 4.0 if err == 0.0 else 0.9 * err ** (-1.0 / (2 * k - 1))
+        H *= min(4.0, max(0.2, factor))
+    raise ReferenceNotConverged(
+        f"reference solution did not converge within step cap {REFERENCE_STEP_CAP}: "
+        f"t = {t!r} of {t_end!r}"
+    )
 
 
 def run_experiment(spec: ExperimentSpec, reference=None, problem=None):
@@ -236,7 +211,7 @@ def run_experiment(spec: ExperimentSpec, reference=None, problem=None):
     if problem is None:
         problem = build_problem(spec)
     if reference is None:
-        reference = compute_reference(problem, spec.t_end, tau_hint=min(spec.taus))
+        reference = compute_reference(problem, spec.t_end)
     grid = [
         (tol, MethodConfig(method=method, tau=tau, tol=tol))
         for method, tau, tol in itertools.product(spec.methods, spec.taus, spec.tols)
@@ -288,7 +263,8 @@ _PACKAGE_INTEGRATE = (integrate,)
 
 @contextlib.contextmanager
 def _fork_pool(fn, jobs: int):
-    """Yield ``submit(arg)``, which returns a future of ``fn(arg)``.
+    """Yield ``submit(arg)``, which returns a future of ``fn(arg)``: the
+    pool on which ``run_experiment`` runs the cells of a sweep.
 
     ``fn`` runs on ``min(cpus, jobs)`` worker processes forked from this
     one, so it inherits what ``fn`` holds (the problem, ``u0``, the

@@ -78,17 +78,14 @@ def copy_vector(u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralBounds:
-    """Bounding box of the Gershgorin discs of an operator."""
+    """Real extent of the Gershgorin discs of an operator."""
 
     real_min: float
     real_max: float
-    imag_halfwidth: float
 
     def __post_init__(self):
         if self.real_min > self.real_max:
             raise ValueError("real_min > real_max")
-        if self.imag_halfwidth < 0:
-            raise ValueError("negative imag_halfwidth")
 
 
 class Linearization:
@@ -128,12 +125,8 @@ def apply_operator(lower, diag, upper, u) -> np.ndarray:
 
 
 def gershgorin_bounds(d, r) -> SpectralBounds:
-    """Bounding box of the Gershgorin discs with centres ``d`` and radii ``r``."""
-    return SpectralBounds(
-        real_min=float(np.min(d - r)),
-        real_max=float(np.max(d + r)),
-        imag_halfwidth=float(np.max(r)),
-    )
+    """Real extent of the Gershgorin discs with centres ``d`` and radii ``r``."""
+    return SpectralBounds(real_min=float(np.min(d - r)), real_max=float(np.max(d + r)))
 
 
 # ---------------------------------------------------------------------------

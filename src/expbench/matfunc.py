@@ -376,7 +376,6 @@ def _augmented(applyA, dim, terms):
         return SpectralBounds(
             real_min=min(inner.real_min - extra, -1.0),
             real_max=max(inner.real_max + extra, 1.0),
-            imag_halfwidth=max(inner.imag_halfwidth + extra, 1.0),
         )
 
     x0 = np.zeros(dim + q)

@@ -19,9 +19,9 @@ that ``perfbench`` traces by name stay module-level: ``ns_rhs`` here and
 ``linalg.apply_operator``, which the two ``rhs`` methods call.
 ``linearize(u)`` returns a ``linalg.Linearization``: calling it applies
 the Jacobian frozen at ``u`` (one counted Jacobian event per call, its
-state-dependent terms computed once), and its ``bounds`` are the
-Gershgorin box of that Jacobian, computed on first access and never
-counted.
+state-dependent terms computed once), and its ``bounds`` are the real
+extent of that Jacobian's Gershgorin discs, computed on first access and
+never counted.
 
 ``ns_rhs`` and the applies of a frozen Navier-Stokes Jacobian write their
 intermediate stacks into scratch arrays that each thread keeps per grid

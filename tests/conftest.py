@@ -1,11 +1,17 @@
 """Shared helpers for the test suite."""
 
+import ctypes
+import glob
+import itertools
+import math
 import os
 
 import numpy as np
 import scipy.linalg
 
 from expbench.counting import OpCounter, record, use_counter
+from expbench.harness import error_norm
+from expbench.integrators import rk4_step
 from expbench.linalg import Linearization, gershgorin_bounds
 
 
@@ -88,6 +94,51 @@ def dense_phi(M, p: int) -> np.ndarray:
     return E[:n, p * n : (p + 1) * n]
 
 
+def serial_reference(problem, t_end, tau_hint):
+    """The Navier-Stokes reference as RK4 step-halving passes: the test
+    oracle for ``compute_reference``'s extrapolation solver.
+
+    Pass k integrates from u0 to t_end with uncounted RK4 steps of about
+    (tau_hint / 16) / 2^k; the first pass within 1e-10 in relative l2 of
+    the pass before is returned.  RK4's error falls about 16-fold per pass,
+    so the result is accurate to about 1e-11 or better, down to the
+    round-off floor of its step count.
+    """
+    u0 = problem.initial_state()
+    tau = tau_hint / 16.0
+    prev = None
+    with use_counter(None):
+        for _k in itertools.count():
+            steps = max(1, math.ceil(t_end / tau))
+            dt = t_end / steps
+            u = u0.copy()
+            for _step in range(steps):
+                u = rk4_step(problem, u, dt)
+            if prev is not None and error_norm(u, prev) < 1e-10:
+                return u
+            prev = u
+            tau /= 2.0
+
+
+def openblas_corename() -> str:
+    """The kernel family (such as "SkylakeX") that the OpenBLAS bundled
+    with numpy picked for this CPU when it loaded, or "unknown".
+
+    The library is found with the glob that ``expbench.linalg`` uses to pin
+    its thread count.  The golden digests were recorded under SkylakeX;
+    another kernel rounds the dense products differently,
+    so a golden test names the kernel it ran under when it fails.
+    """
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, np.__name__ + ".libs")
+    for lib in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        getter = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_char_p
+            return getter().decode()
+    return "unknown"
+
+
 def use_cpus(monkeypatch, count):
     """Make run_experiment see ``count`` available CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
@@ -110,6 +161,8 @@ __all__ = [
     "dense_phi",
     "dot",
     "fresh_counter",
+    "openblas_corename",
+    "serial_reference",
     "use_cpus",
     "use_counter",
 ]

@@ -15,6 +15,8 @@ import pytest
 from expbench.harness import CSV_HEADER, ExperimentSpec, run_experiment, write_csv
 from expbench.integrators import METHODS
 
+from conftest import openblas_corename
+
 COUNTED = [c for c in CSV_HEADER.split(",") if c != "error"]
 
 GRIDS = {
@@ -46,4 +48,7 @@ def test_counted_columns_match_golden_digest(grid, tmp_path):
     spec = ExperimentSpec(methods=tuple(METHODS), tols=(1e-4, 1e-7), zetas=(1.0, 10.0), **params)
     path = tmp_path / "out.csv"
     write_csv(run_experiment(spec), path)
-    assert hashlib.sha256(counted_columns(path).encode()).hexdigest() == digest
+    assert hashlib.sha256(counted_columns(path).encode()).hexdigest() == digest, (
+        f"counted columns of {grid} moved; OpenBLAS runs its {openblas_corename()} "
+        "kernels here, and the digests were recorded under SkylakeX"
+    )

@@ -1,4 +1,3 @@
-import itertools
 import math
 import multiprocessing
 import os
@@ -26,9 +25,9 @@ from expbench.harness import (
     write_csv,
 )
 from expbench.integrators import METHODS, MethodConfig, integrate
-from expbench.problems import AdvDiffProblem, NavierStokesProblem
+from expbench.problems import AdvDiffProblem, NavierStokesProblem, NonPositiveDensityError
 
-from conftest import use_cpus
+from conftest import serial_reference, use_cpus
 
 
 def small_spec(**overrides):
@@ -113,51 +112,7 @@ class TestErrorNorm:
             error_norm(np.ones(2), np.ones(3))
 
 
-def serial_reference(problem, t_end, tau_hint):
-    """The NS reference computed one halving pass after another.  Returns
-    the reference and its pass index, or raises RuntimeError("pass k") at
-    the pass that exceeds the step cap."""
-    u0 = problem.initial_state()
-    tau = tau_hint / 16.0
-    prev = None
-    for k in itertools.count():
-        steps = max(1, math.ceil(t_end / tau))
-        if steps > harness.REFERENCE_STEP_CAP:
-            raise RuntimeError(f"pass {k}")
-        dt = t_end / steps
-        u = u0.copy()
-        for _k in range(steps):
-            u = integrators.rk4_step(problem, u, dt)
-        if prev is not None and error_norm(u, prev) < 1e-10:
-            return u, k
-        prev = u
-        tau /= 2.0
-
-
-class PassFault(Exception):
-    """An exception that a reference pass raises."""
-
-
-def spy_passes(monkeypatch, path, fault_steps=None):
-    """Append "pid steps" of each reference pass to ``path``; the pass of
-    ``fault_steps`` steps raises PassFault."""
-    run_pass = harness._reference_pass
-
-    def spy(steps, **kwargs):
-        with open(path, "a") as fh:
-            fh.write(f"{os.getpid()} {steps}\n")
-        if steps == fault_steps:
-            raise PassFault(f"{steps} steps")
-        return run_pass(steps, **kwargs)
-
-    monkeypatch.setattr(harness, "_reference_pass", spy)
-
-
 class TestComputeReference:
-    # on PROBLEM to t_end 0.25, hints 0.125, 0.25, 1 and 2 converge at
-    # pass 1, 2, 4 and 5; hint 1 takes 4, 8, 16, ... steps.  The NS
-    # reference's passes run on forked workers; the result, or the
-    # exception, must be that of one pass after another.
     PROBLEM = NavierStokesProblem(8, 1e-4)
 
     def test_zero_horizon_returns_initial_state(self):
@@ -188,11 +143,119 @@ class TestComputeReference:
         ref = compute_reference(pb, 0.01)
         assert ref.shape == (512,) and np.all(np.isfinite(ref))
 
+    def test_nonlinear_zero_horizon_returns_initial_state(self):
+        assert np.array_equal(compute_reference(self.PROBLEM, 0.0), self.PROBLEM.initial_state())
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("tau_hint", [0.125, 0.25, 1.0, 2.0])
+    def test_nonlinear_reference_does_not_read_tau_hint(self, tau_hint, cpus, monkeypatch):
+        # nor the CPU count: the solve runs in this process
+        ref = compute_reference(self.PROBLEM, 0.25)
+        use_cpus(monkeypatch, cpus)
+        assert np.array_equal(compute_reference(self.PROBLEM, 0.25, tau_hint=tau_hint), ref)
+        assert multiprocessing.active_children() == []
+
     def test_nonlinear_reference_self_consistent(self):
-        pb = NavierStokesProblem(8, 1e-4)
-        ref = compute_reference(pb, 0.25, tau_hint=0.25)
-        finer = compute_reference(pb, 0.25, tau_hint=0.125)
-        assert error_norm(ref, finer) < 1e-9
+        # two solves to t_end / 2, the second from the first's end state,
+        # land within the one solve's accuracy of it (1.9e-14 when written)
+        half = compute_reference(self.PROBLEM, 0.125)
+        twice = harness._extrapolated_midpoint(self.PROBLEM.rhs, half, 0.125)
+        assert error_norm(twice, compute_reference(self.PROBLEM, 0.25)) < 1e-13
+
+    @pytest.mark.parametrize("nu", [1e-4, 1e-2])
+    @pytest.mark.parametrize("n", [4, 5, 8, 16])
+    def test_reference_conserves_mass(self, n, nu):
+        # the density's rhs is a sum of periodic central differences, whose
+        # entries sum to zero, and every stage and extrapolation is a linear
+        # combination of such rhs; the drift is round-off (at most 3.1e-15
+        # when written)
+        pb = NavierStokesProblem(n, nu)
+        mass = pb.initial_state()[: pb.N].sum()
+        assert compute_reference(pb, 1.0)[: pb.N].sum() == pytest.approx(mass, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "problem, oracle_hint",
+        [
+            # the differences measured when these cases were written are
+            # 1.8e-14, 4.6e-14, 1.4e-14 and 1.4e-14; the oracle returns its
+            # pass 1 in the first two
+            (NavierStokesProblem(8, 1e-4), 1.0 / 64.0),
+            (NavierStokesProblem(40, 1e-6), 1.0 / 128.0),  # the desk shearflow problem
+            (NavierStokesProblem(5, 1e-4), 1.0 / 64.0),  # an odd grid
+            (NavierStokesProblem(16, 1e-2), 1.0 / 64.0),
+        ],
+        ids=["ns-8", "desk-40", "ns-5", "ns-16"],
+    )
+    def test_agrees_with_the_rk4_halving_oracle(self, problem, oracle_hint):
+        ref = compute_reference(problem, 1.0)
+        assert error_norm(ref, serial_reference(problem, 1.0, oracle_hint)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(n=8, nu=1e-3, taus=(0.25,), t_end=0.5),  # the golden ns-8 grid
+            dict(n=8, nu=1e-4, taus=(0.25, 0.125), t_end=1.0),
+        ],
+        ids=["golden-ns-8", "ns-8-t1"],
+    )
+    def test_sweep_moves_only_within_the_reference_difference(self, params):
+        # against the oracle that the sweep used before (its hint was the
+        # smallest tau), each error e may move by at most d (1 + e) / (1 - d),
+        # d the references' relative difference (the triangle inequality),
+        # plus a few ulps of e for the rounding of the two norms.  d is
+        # mostly the old reference's own error: 6.3e-13 and 1.3e-12 when
+        # these cases were written, while the new reference was within 2e-14
+        # of the oracle started from t_end / 64
+        spec = ExperimentSpec(problem="ns", **params)
+        problem = build_problem(spec)
+        oracle = serial_reference(problem, spec.t_end, min(spec.taus))
+        d = error_norm(compute_reference(problem, spec.t_end), oracle)
+        assert d < 1e-11
+        before = run_experiment(spec, reference=oracle, problem=problem)
+        after = run_experiment(spec, problem=problem)
+        assert len(before) == len(after) == 6 * len(spec.taus) * 2 * 2
+        for old, new in zip(before, after):
+            assert (old.method, old.tau, old.tol, old.zeta) == (new.method, new.tau, new.tol, new.zeta)
+            assert (old.total_cost, old.steps, old.counts) == (new.total_cost, new.steps, new.counts)
+            assert old.converged == new.converged
+            if math.isinf(old.error):
+                assert math.isinf(new.error)
+            else:
+                bound = d * (1.0 + old.error) / (1.0 - d) + 4 * np.spacing(old.error)
+                assert abs(new.error - old.error) <= bound
+
+    def test_stiff_problem_is_solved(self):
+        # nu = 10 makes the Laplacian stiff on the 8 x 8 grid.  RK4 passes
+        # started from the sweep's tau 0.25 lose density; the extrapolation
+        # solver's step control keeps its macro steps stable and returns a
+        # state within 1e-12 of the RK4 oracle started from t_end / 64
+        # (4.5e-13 when this case was written; through round-off, both
+        # drift by about 1e-12 in the mass, which the scheme conserves)
+        pb = NavierStokesProblem(8, 10.0)
+        with pytest.raises(NonPositiveDensityError):
+            serial_reference(pb, 0.25, 0.25)
+        ref = compute_reference(pb, 0.25)
+        assert np.all(np.isfinite(ref)) and ref[: pb.N].min() > 0.0
+        assert error_norm(ref, serial_reference(pb, 0.25, 0.25 / 64.0)) < 1e-12
+
+    def test_density_loss_raises_with_its_own_type(self):
+        # at nu = 100 the first macro step, t_end / 64, is far outside the
+        # stability region of the midpoint rule's stages, which then lose
+        # density inside the rhs
+        with pytest.raises(NonPositiveDensityError):
+            compute_reference(NavierStokesProblem(8, 100.0), 0.25)
+
+    @pytest.mark.parametrize("cap", [1, 2, 8, 12])
+    def test_step_cap_raises(self, cap, monkeypatch):
+        # the solve of PROBLEM to 0.25 takes 13 macro steps
+        monkeypatch.setattr(harness, "REFERENCE_STEP_CAP", cap)
+        with pytest.raises(harness.ReferenceNotConverged, match=f"within step cap {cap}: t = "):
+            compute_reference(self.PROBLEM, 0.25)
+
+    def test_step_cap_of_the_solves_own_steps_is_enough(self, monkeypatch):
+        ref = compute_reference(self.PROBLEM, 0.25)
+        monkeypatch.setattr(harness, "REFERENCE_STEP_CAP", 13)
+        assert np.array_equal(compute_reference(self.PROBLEM, 0.25), ref)
 
     @pytest.mark.parametrize(
         "problem, t_end, tau_hint, message",
@@ -213,96 +276,11 @@ class TestComputeReference:
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(harness, "rk4_step", no_work)
+        monkeypatch.setattr(NavierStokesProblem, "rhs", no_work)
         monkeypatch.setattr(scipy.linalg, "expm", no_work)
         with pytest.raises(ValueError, match=message):
             compute_reference(problem, t_end, tau_hint=tau_hint)
 
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("offset", [0, -1, 1], ids=["predicted", "too-low", "too-high"])
-    @pytest.mark.parametrize("tau_hint", [0.125, 0.25, 1.0, 2.0])
-    def test_reference_is_the_serial_one(self, tau_hint, offset, cpus, monkeypatch):
-        oracle, last = serial_reference(self.PROBLEM, 0.25, tau_hint)
-        predict = harness._predict_last_pass
-        predicted = []
-
-        def forced(diff, steps):
-            predicted.append(predict(diff, steps))
-            return predicted[-1] + offset
-
-        monkeypatch.setattr(harness, "_predict_last_pass", forced)
-        use_cpus(monkeypatch, cpus)
-        ref = compute_reference(self.PROBLEM, 0.25, tau_hint=tau_hint)
-        assert np.array_equal(ref, oracle)
-        assert predicted == ([] if last == 1 else [last])
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("cap", [2, 8, 32])
-    def test_step_cap_raises_at_the_serial_pass(self, cap, cpus, monkeypatch):
-        monkeypatch.setattr(harness, "REFERENCE_STEP_CAP", cap)
-        with pytest.raises(RuntimeError) as serial:
-            serial_reference(self.PROBLEM, 0.25, 1.0)
-        use_cpus(monkeypatch, cpus)
-        with pytest.raises(harness.ReferenceNotConverged, match=f"{serial.value} needs"):
-            compute_reference(self.PROBLEM, 0.25, tau_hint=1.0)
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("fault_pass", [2, 4, 5])
-    def test_failing_pass_raises_only_where_the_serial_loop_reaches_it(
-        self, fault_pass, cpus, monkeypatch, tmp_path
-    ):
-        # hint 1 converges at pass 4; a prediction one too high submits
-        # pass 5 too, so on two CPUs its fault happens and must be ignored
-        predict = harness._predict_last_pass
-        monkeypatch.setattr(harness, "_predict_last_pass", lambda d, s: predict(d, s) + 1)
-        spy_passes(monkeypatch, tmp_path / "passes", fault_steps=4 * 2**fault_pass)
-        use_cpus(monkeypatch, cpus)
-        if fault_pass <= 4:
-            with pytest.raises(PassFault, match=f"{4 * 2**fault_pass} steps"):
-                compute_reference(self.PROBLEM, 0.25, tau_hint=1.0)
-        else:
-            ref = compute_reference(self.PROBLEM, 0.25, tau_hint=1.0)
-            assert np.array_equal(ref, serial_reference(self.PROBLEM, 0.25, 1.0)[0])
-        ran = [int(line.split()[1]) for line in (tmp_path / "passes").read_text().splitlines()]
-        assert (4 * 2**fault_pass in ran) == (cpus == 2 or fault_pass <= 4)
-        assert multiprocessing.active_children() == []
-
-    def test_running_pass_past_the_returned_one_is_stopped(self, monkeypatch, tmp_path):
-        # hint 0.125 converges at pass 1, but pass 2 (128 steps) is submitted
-        # with passes 0 and 1; here it waits until the stop comes
-        run_pass = harness._reference_pass
-
-        def spy(steps, stop, **kwargs):
-            if steps != 128:
-                return run_pass(steps, stop=stop, **kwargs)
-            stopped = stop.wait(20)
-            result = run_pass(steps, stop=stop, **kwargs)
-            (tmp_path / "stopped").write_text(f"{stopped} {result is None}")
-            return result
-
-        monkeypatch.setattr(harness, "_reference_pass", spy)
-        use_cpus(monkeypatch, 2)
-        ref = compute_reference(self.PROBLEM, 0.25, tau_hint=0.125)
-        assert (tmp_path / "stopped").read_text() == "True True"
-        assert np.array_equal(ref, serial_reference(self.PROBLEM, 0.25, 0.125)[0])
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("rebound", [False, True])
-    def test_passes_run_in_workers_unless_integrate_is_rebound(self, rebound, monkeypatch, tmp_path):
-        if rebound:
-            monkeypatch.setattr(harness, "integrate", lambda *args: None)
-        spy_passes(monkeypatch, tmp_path / "passes")
-        use_cpus(monkeypatch, 2)
-        ref = compute_reference(self.PROBLEM, 0.25, tau_hint=1.0)
-        assert np.array_equal(ref, serial_reference(self.PROBLEM, 0.25, 1.0)[0])
-        pids = {line.split()[0] for line in (tmp_path / "passes").read_text().splitlines()}
-        if rebound:
-            assert pids == {str(os.getpid())}
-        else:
-            assert str(os.getpid()) not in pids
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_reference_is_uncounted(self, cpus, monkeypatch):
@@ -311,6 +289,65 @@ class TestComputeReference:
         with use_counter(counter):
             compute_reference(self.PROBLEM, 0.25, tau_hint=1.0)
         assert counter.events == {}
+
+
+class TestExtrapolatedMidpoint:
+    """The NS reference's solver on problems whose solution is known."""
+
+    @pytest.mark.parametrize(
+        "A, u0, t_end",
+        [
+            (np.array([[-1.0]]), np.array([1.0]), 2.0),
+            (np.array([[1.0]]), np.array([1.0]), 2.0),
+            (np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([1.0, 0.0]), 10.0),
+            (np.array([[-1.0, 5.0], [0.0, -1.0]]), np.array([0.0, 1.0]), 3.0),
+        ],
+        ids=["decay", "growth", "rotation", "jordan-block"],
+    )
+    def test_linear_system_matches_the_matrix_exponential(self, A, u0, t_end):
+        # at most 2.1e-14 when written
+        ref = harness._extrapolated_midpoint(lambda u: A @ u, u0, t_end)
+        assert error_norm(ref, scipy.linalg.expm(t_end * A) @ u0) < 1e-13
+
+    @pytest.mark.parametrize(
+        "n, profile", [(16, ("const", 1.0 / 80.0)), (16, "mixed"), (40, "mixed")]
+    )
+    def test_advdiff_matches_the_dense_reference(self, n, profile):
+        # at most 1.5e-14 when written
+        pb = AdvDiffProblem(n, profile)
+        ref = harness._extrapolated_midpoint(pb.rhs, pb.initial_state(), 0.5)
+        assert error_norm(ref, compute_reference(pb, 0.5)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "f, u0, t_end, exact",
+        [
+            (lambda u: u * u, 1.0, 0.5, 2.0),  # 1 / (1 - t)
+            (lambda u: u * (1.0 - u), 0.1, 3.0, 1.0 / (1.0 + 9.0 * math.exp(-3.0))),
+            (lambda u: -(u**3), 1.0, 4.0, 1.0 / 3.0),  # 1 / sqrt(1 + 2 t)
+        ],
+        ids=["riccati", "logistic", "cubic"],
+    )
+    def test_scalar_nonlinear_solution(self, f, u0, t_end, exact):
+        # at most 2.8e-14 when written
+        ref = harness._extrapolated_midpoint(f, np.array([u0]), t_end)
+        assert ref[0] == pytest.approx(exact, rel=1e-13)
+
+    def test_non_finite_step_is_rejected_and_shrunk(self):
+        # the first call returns nan, so the whole first tableau is nan; the
+        # step must be retried from u0 with H / 5, not accepted
+        u0 = np.array([1.0])
+        args = []
+
+        def f(u):
+            args.append(u)
+            return np.full_like(u, math.nan) if len(args) == 1 else -u
+
+        ref = harness._extrapolated_midpoint(f, u0, 1.0)
+        calls = 1 + sum(n - 1 for n in harness._GBS_STEPS)  # per macro step
+        assert args[calls] is u0
+        # the retry's first midpoint stage is u0 + (H' / 2) f(u0), H' = (1 / 64) / 5
+        assert args[calls + 1][0] == pytest.approx(1.0 - 1.0 / 640.0, rel=1e-15)
+        assert ref[0] == pytest.approx(math.exp(-1.0), rel=1e-13)
 
 
 class TestRunExperiment:
@@ -516,14 +553,14 @@ def test_sweep_and_reference_run_in_process_without_sched_getaffinity(monkeypatc
     spec = small_spec()
     use_cpus(monkeypatch, 1)
     write_csv(run_experiment(spec), tmp_path / "one-cpu.csv")
+    problem = TestComputeReference.PROBLEM
+    ref = compute_reference(problem, 0.25)
     monkeypatch.delattr(os, "sched_getaffinity")
     record_cell_pids(monkeypatch, tmp_path / "pids")
     write_csv(run_experiment(spec), tmp_path / "no-affinity.csv")
     assert set((tmp_path / "pids").read_text().split()) == {str(os.getpid())}
     assert (tmp_path / "no-affinity.csv").read_bytes() == (tmp_path / "one-cpu.csv").read_bytes()
-    problem = TestComputeReference.PROBLEM
-    oracle, _ = serial_reference(problem, 0.25, 1.0)
-    assert np.array_equal(compute_reference(problem, 0.25, tau_hint=1.0), oracle)
+    assert np.array_equal(compute_reference(problem, 0.25), ref)
 
 
 class TestCsv:

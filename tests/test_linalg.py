@@ -125,7 +125,7 @@ class TestSinglePoint:
     def test_gershgorin_box_is_the_diagonal_point(self):
         b = self.PB.linearize().bounds
         d = float(self.PB.diag[0])
-        assert (b.real_min, b.real_max, b.imag_halfwidth) == (d, d, 0.0)
+        assert (b.real_min, b.real_max) == (d, d)
 
 
 class TestVectorPrimitives:
@@ -199,15 +199,14 @@ class TestGershgorin:
         b = small_problem().linearize().bounds
         assert b.real_min == pytest.approx(-4.4)
         assert b.real_max == pytest.approx(3.6)
-        assert b.imag_halfwidth == pytest.approx(4.0)
 
     def test_centres_and_radii(self):
         b = gershgorin_bounds(np.array([-1.0, 2.0]), np.array([0.5, 3.0]))
-        assert (b.real_min, b.real_max, b.imag_halfwidth) == (-1.5, 5.0, 3.0)
+        assert (b.real_min, b.real_max) == (-1.5, 5.0)
 
     def test_diagonal_matrix(self):
         b = dense_gershgorin(np.diag([-1.0, -2.0]))
-        assert (b.real_min, b.real_max, b.imag_halfwidth) == (-2.0, -1.0, 0.0)
+        assert (b.real_min, b.real_max) == (-2.0, -1.0)
 
     def test_contains_all_eigenvalues(self):
         for n, profile in ((16, ("const", 1.0 / 80.0)), (64, "mixed")):
@@ -216,14 +215,10 @@ class TestGershgorin:
             dense = dense_gershgorin(pb.to_dense())
             assert b.real_min == pytest.approx(dense.real_min, rel=1e-14)
             assert b.real_max == pytest.approx(dense.real_max, rel=1e-14)
-            assert b.imag_halfwidth == pytest.approx(dense.imag_halfwidth, rel=1e-14)
             lam = np.linalg.eigvals(pb.to_dense())
             assert np.all(lam.real >= b.real_min - 1e-12)
             assert np.all(lam.real <= b.real_max + 1e-12)
-            assert np.all(np.abs(lam.imag) <= b.imag_halfwidth + 1e-12)
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
-            SpectralBounds(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            SpectralBounds(0.0, 1.0, -1.0)
+            SpectralBounds(1.0, 0.0)
