@@ -9,8 +9,10 @@ The tier-1 suite does not collect this directory (``testpaths`` names only
 ``--benchmark-disable`` as a smoke test.
 
 Each benchmark runs outside any counter, so ``record`` is a
-no-op and the timings are of the loops alone: at these sizes they are
-mostly the Python overhead per inner product and vector update.
+no-op and the timings are of the loops alone.  Arnoldi's Gram-Schmidt
+passes run in one compiled loop, so an Arnoldi step costs the operator
+apply, a few numpy calls and that loop; the Leja loop is Python and numpy,
+a few calls per term.
 """
 
 from expbench import matfunc

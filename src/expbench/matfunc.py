@@ -58,7 +58,7 @@ import scipy.linalg
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .counting import record
-from .linalg import Linearization, SpectralBounds, lincomb, norm2, scale
+from .linalg import Linearization, SpectralBounds, lincomb, mgs2, norm2, scale
 
 DEFAULT_M_MAX = 100
 DEFAULT_LEJA_COUNT = 128
@@ -96,30 +96,32 @@ def arnoldi_extend(applyA, V, H, j: int, beta: float) -> bool:
     with beta the norm of the start vector): the subspace is invariant and
     no row is appended.
 
-    Each pass runs the arithmetic of ``dot`` and ``lincomb([1.0, -h_ij],
-    [w, v_i])`` inline, in the same float order, on one copy of the
-    operator's result and one scratch vector, and adds its j + 1 inner
-    products to column j of ``H`` at once.  The 2(j + 1) inner products and
-    2(j + 1) two-term linear combinations of both passes are recorded in
-    bulk.
+    Both passes run in ``linalg.mgs2``, with the arithmetic of ``dot`` and
+    ``lincomb([1.0, -h_ij], [w, v_i])`` in the same float order, on one copy
+    of the operator's result; each pass's j + 1 inner products are added to
+    column j of ``H`` at once.  The 2(j + 1) inner products and 2(j + 1)
+    two-term linear combinations of both passes are recorded in bulk.
+    ``V`` must be a writable C-contiguous 2-D float64 array with a row
+    j + 1, and the operator's result must have ``V.shape[1]`` entries; a
+    ValueError reports either before anything is recorded.
     """
+    if not (isinstance(V, np.ndarray) and V.ndim == 2 and V.dtype == np.float64
+            and V.flags.c_contiguous and V.flags.writeable):
+        raise ValueError("V must be a writable C-contiguous 2-D float64 array")
+    if not 0 <= j < V.shape[0] - 1:
+        raise ValueError(f"no basis row {j + 1} in V of shape {V.shape}")
     # the copy keeps the in-place updates off an array the operator returned
     # as is (its own input, a row of the basis, for the identity)
     w = np.array(applyA(V[j]), dtype=float)
     if w.shape != V[j].shape:
         raise ValueError(f"length mismatch: {V[j].shape} vs {w.shape}")
-    basis = V[: j + 1]
-    tmp = np.empty_like(w)
-    for _pass in range(2):
-        hs = []
-        for vi in basis:
-            h = w.dot(vi)
-            hs.append(h)
-            np.multiply(-h, vi, out=tmp)
-            w += tmp
-        H[: j + 1, j] += hs
-    record("dot", times=2 * (j + 1))
-    record("lincomb", k=2, times=2 * (j + 1))
+    k = j + 1
+    hs = np.empty(2 * k)
+    mgs2(V, k, w, hs)
+    H[:k, j] += hs[:k]
+    H[:k, j] += hs[k:]
+    record("dot", times=2 * k)
+    record("lincomb", k=2, times=2 * k)
     hnext = norm2(w)
     H[j + 1, j] = hnext
     if hnext <= _BREAKDOWN_FACTOR * beta:

@@ -12,7 +12,7 @@ from expbench import matfunc
 from expbench.counting import OpCounter
 from expbench.harness import CSV_PRIMITIVES, ExperimentSpec, run_experiment
 from expbench.integrators import METHODS, MethodConfig, PhiConvergenceError, integrate
-from expbench.linalg import Linearization, SpectralBounds, lincomb, norm2, scale
+from expbench.linalg import Linearization, SpectralBounds, apply_operator, lincomb, norm2, scale
 from expbench.matfunc import (
     DEFAULT_M_MAX,
     EVALUATORS,
@@ -148,23 +148,38 @@ def reference_arnoldi(applyA, v, steps):
     return V, H, m, invariant
 
 
-@st.composite
-def arnoldi_cases(draw):
-    """(operator, start vector, steps): random dense operators, the identity
-    (breakdown at step 1) and the reversal, which returns a view of its
-    input (breakdown at step 2)."""
-    n = draw(st.integers(2, 40))
-    kind = draw(st.sampled_from(["dense", "identity", "reverse"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A = rng.standard_normal((n, n))
-    ops = {"dense": lambda w: A @ w, "identity": lambda w: w, "reverse": lambda w: w[::-1]}
-    steps = draw(st.integers(1, min(n, 30)))
+def arnoldi_case(kind, n, seed, steps):
+    """(operator, start vector, steps) for ``arnoldi_cases``."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        A = rng.standard_normal((n, n))
+        return (lambda w: A @ w), rng.standard_normal(n), steps
+    if kind == "tridiagonal":
+        lower, diag, upper = (rng.standard_normal(size) for size in (n - 1, n, n - 1))
+        return (lambda w: apply_operator(lower, diag, upper, w)), rng.standard_normal(n), steps
+    ops = {"identity": lambda w: w, "reverse": lambda w: w[::-1]}
     return ops[kind], rng.standard_normal(n), steps
 
 
+@st.composite
+def arnoldi_cases(draw):
+    """(operator, start vector, steps): random dense and tridiagonal
+    operators, the identity (breakdown at step 1) and the reversal, which
+    returns a view of its input (breakdown at step 2), from n = 1 on."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["dense", "tridiagonal", "identity", "reverse"]))
+    steps = draw(st.integers(1, min(n, 30)))
+    return arnoldi_case(kind, n, draw(st.integers(0, 2**32 - 1)), steps)
+
+
 class TestArnoldiMatchesCountedPrimitives:
+    # n = 1, and n = 20000, where OpenBLAS's ddot would run on more than one
+    # thread if expbench did not pin one
     @settings(max_examples=80, deadline=None)
     @given(case=arnoldi_cases())
+    @example(case=arnoldi_case("dense", 1, 3, 1))
+    @example(case=arnoldi_case("tridiagonal", 1, 4, 1))
+    @example(case=arnoldi_case("tridiagonal", 20000, 5, 12))
     def test_bit_identical_basis_hessenberg_and_counts(self, case):
         applyA, v, steps = case
         ref_counter, fast_counter = fresh_counter(n=v.size), fresh_counter(n=v.size)
@@ -186,6 +201,30 @@ class TestArnoldiMatchesCountedPrimitives:
         with use_counter(counter):
             with pytest.raises(ValueError):
                 arnoldi_extend(lambda w: np.ones(4), V, H, 0, beta)
+        assert counter.events == {}
+
+    @pytest.mark.parametrize("basis", [
+        lambda V: np.asfortranarray(V),
+        lambda V: V.astype(np.int64),
+        lambda V: V.astype(np.float32),
+        lambda V: V[:, ::2],
+        lambda V: V.ravel(),
+    ], ids=["fortran", "int", "float32", "strided", "1-d"])
+    def test_basis_the_kernel_cannot_read_is_refused_before_any_apply(self, basis):
+        V, H, beta = arnoldi_arrays(np.arange(1.0, 7.0), 3)
+        V[1:] = 0.0
+        V = basis(V)
+        calls, counter = [], fresh_counter(n=6)
+        with use_counter(counter), pytest.raises(ValueError):
+            arnoldi_extend(lambda w: calls.append(w) or w, V, H, 0, beta)
+        assert (calls, counter.events) == ([], {})
+
+    @pytest.mark.parametrize("j", [-1, 3, 4])
+    def test_step_without_a_next_basis_row_is_refused(self, j):
+        V, H, beta = arnoldi_arrays(np.ones(3), 3)
+        counter = fresh_counter(n=3)
+        with use_counter(counter), pytest.raises(ValueError):
+            arnoldi_extend(lambda w: w, V, H, j, beta)
         assert counter.events == {}
 
 
